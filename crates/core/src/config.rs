@@ -421,6 +421,21 @@ pub enum ConfigError {
     /// epoch, zero regions, inverted hysteresis band). The payload names
     /// the problem.
     AdaptivePolicy(&'static str),
+    /// The coherence protocol's directory tracks sharers in a fixed-width
+    /// mask and cannot serve this many tiles.
+    TooManyTiles {
+        /// Tiles the topology has.
+        tiles: usize,
+        /// Most tiles the directory supports.
+        max: usize,
+    },
+    /// The workload does not run exactly one thread per tile.
+    CoreCountMismatch {
+        /// Threads the workload has.
+        threads: usize,
+        /// Tiles the topology has.
+        tiles: usize,
+    },
 }
 
 impl fmt::Display for ConfigError {
@@ -456,6 +471,14 @@ impl fmt::Display for ConfigError {
             ConfigError::AdaptivePolicy(what) => {
                 write!(f, "adaptive policy misconfigured: {what}")
             }
+            ConfigError::TooManyTiles { tiles, max } => write!(
+                f,
+                "{tiles} tiles exceed the coherence directory's {max}-tile sharer set"
+            ),
+            ConfigError::CoreCountMismatch { threads, tiles } => write!(
+                f,
+                "workload has {threads} threads for {tiles} tiles (one thread per core)"
+            ),
         }
     }
 }

@@ -75,20 +75,13 @@ impl Default for InputVc {
     }
 }
 
-/// One input port: its VCs.
+/// One input port's VCs in the checkpoint format. The live router keeps
+/// every port's VCs in one flat array; `Router::snapshot` and
+/// `Router::restore` convert.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct InputPort {
     /// Virtual channels, indexed by global VC id.
     pub vcs: Vec<InputVc>,
-}
-
-impl InputPort {
-    /// An input port with `vcs` virtual channels.
-    pub fn new(vcs: usize) -> Self {
-        Self {
-            vcs: (0..vcs).map(|_| InputVc::new()).collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -110,12 +103,5 @@ mod tests {
         assert_eq!(vc.route, None);
         assert_eq!(vc.out_vc, None);
         assert!(!vc.circuit_attempted);
-    }
-
-    #[test]
-    fn port_has_requested_vcs() {
-        let p = InputPort::new(4);
-        assert_eq!(p.vcs.len(), 4);
-        assert!(p.vcs.iter().all(InputVc::is_idle));
     }
 }

@@ -16,7 +16,7 @@ use crate::config::{NocConfig, VcLayout};
 use crate::flit::{Flit, PacketId};
 use crate::stats::Activity;
 use alloc::RoundRobin;
-use input::{InputPort, VcState};
+use input::{InputPort, InputVc, VcState};
 use rcsim_core::circuit::timing::{router_window, REQ_HOP_CYCLES};
 use rcsim_core::circuit::{CircuitKey, ReserveRequest, RouterCircuits};
 use rcsim_core::routing::Routing;
@@ -77,11 +77,13 @@ enum Owner {
     Draining,
 }
 
+/// One output port's state in the checkpoint format. The live router
+/// keeps these fields in flat per-router arrays (`credits`, `owner`,
+/// `busy`); [`Router::snapshot`] and [`Router::restore`] convert.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct OutputPort {
     credits: Vec<u32>,
     owner: Vec<Owner>,
-    /// Crossbar output used this cycle (circuits have priority, §4.3).
     busy: bool,
 }
 
@@ -110,19 +112,35 @@ pub(crate) struct Router {
     topology: Topology,
     /// Ports per router (`Topology::ports()`), cached.
     ports: usize,
+    /// VCs per port (`VcLayout::total()`), cached.
+    vcs_per_port: usize,
     layout: VcLayout,
     mechanism: MechanismConfig,
     buffer_depth: u32,
     link_latency: u32,
     inject_overhead: u32,
-    inputs: Vec<InputPort>,
-    outputs: Vec<OutputPort>,
+    /// Every input VC, port-major: VC `v` of input port `p` is slot
+    /// `p * vcs_per_port + v` (see [`Router::slot`]).
+    vcs: Vec<InputVc>,
+    /// Bit `i` is set exactly when `vcs[i]` buffers at least one flit.
+    live: Vec<u64>,
+    /// Flits buffered across all input VCs.
+    buffered: usize,
+    /// Credits per output VC, slotted like `vcs` (output port-major).
+    credits: Vec<u32>,
+    /// Holder of each output VC, slotted like `credits`.
+    owner: Vec<Owner>,
+    /// Crossbar output used this cycle, per output port (circuits have
+    /// priority, §4.3).
+    busy: Vec<bool>,
     pub(crate) circuits: RouterCircuits,
     st_pending: Vec<StGrant>,
     /// Reused backing store for [`Router::stage_st`]'s grant sweep.
     st_scratch: Vec<StGrant>,
-    /// Reused request vector for [`Router::stage_sa`] phase 1.
-    sa_requests: Vec<bool>,
+    /// The live VC slots (ascending) SA and VA walk this tick.
+    live_scratch: Vec<usize>,
+    /// Reused per-output-port requester lists for SA phase 2 and VA.
+    by_out: Vec<Vec<usize>>,
     /// Reused per-port scratch for the SA/VA arbitration sweeps.
     sa_blocked: Vec<bool>,
     sa_nominee: Vec<Option<usize>>,
@@ -135,6 +153,8 @@ pub(crate) struct Router {
     /// Bypass flits that lost a same-cycle output conflict (ideal mode) or
     /// arrived while an earlier flit of the same stream is still queued.
     bypass_retry: Vec<VecDeque<Flit>>,
+    /// Flits queued across `bypass_retry`.
+    retry_queued: usize,
     /// `true` while this router is part of, or borders, a dead region
     /// (set by the network when scheduled permanent faults fire).
     /// Degraded routers take no part in circuits: reservations are
@@ -156,24 +176,23 @@ impl Router {
         let layout = cfg.vc_layout();
         let total = layout.total();
         let ports = cfg.topology.ports();
-        let outputs = (0..ports)
-            .map(|_| OutputPort {
-                credits: vec![cfg.buffer_depth; total],
-                owner: vec![Owner::Free; total],
-                busy: false,
-            })
-            .collect();
+        let slots = ports * total;
         Self {
             node,
             topology: cfg.topology,
             ports,
+            vcs_per_port: total,
             layout,
             mechanism: cfg.mechanism,
             buffer_depth: cfg.buffer_depth,
             link_latency: cfg.link_latency,
             inject_overhead: cfg.inject_overhead,
-            inputs: (0..ports).map(|_| InputPort::new(total)).collect(),
-            outputs,
+            vcs: (0..slots).map(|_| InputVc::new()).collect(),
+            live: vec![0; slots.div_ceil(64)],
+            buffered: 0,
+            credits: vec![cfg.buffer_depth; slots],
+            owner: vec![Owner::Free; slots],
+            busy: vec![false; ports],
             circuits: RouterCircuits::with_ports(
                 cfg.mechanism.mode,
                 cfg.mechanism.max_circuits_per_input,
@@ -182,7 +201,8 @@ impl Router {
             ),
             st_pending: Vec::new(),
             st_scratch: Vec::new(),
-            sa_requests: vec![false; total],
+            live_scratch: Vec::with_capacity(slots),
+            by_out: (0..ports).map(|_| Vec::with_capacity(ports)).collect(),
             sa_blocked: vec![false; ports],
             sa_nominee: vec![None; ports],
             arb_scratch: Vec::with_capacity(ports),
@@ -191,11 +211,73 @@ impl Router {
             va_rr_out: (0..ports).map(|_| RoundRobin::new(ports)).collect(),
             va_scratch: Vec::with_capacity(total),
             bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
+            retry_queued: 0,
             degraded: false,
             va_hol_relief: cfg.va_hol_relief,
             activity: Activity::default(),
             sink: TraceSink::default(),
         }
+    }
+
+    /// The slot of VC `vc` at port `port` in the flat per-router arrays.
+    fn slot(&self, port: usize, vc: usize) -> usize {
+        port * self.vcs_per_port + vc
+    }
+
+    /// Appends `flit` to input VC slot `i`, keeping the live set and the
+    /// buffered count in step.
+    fn push_flit(&mut self, i: usize, flit: Flit) {
+        self.vcs[i].buffer.push_back(flit);
+        self.live[i / 64] |= 1 << (i % 64);
+        self.buffered += 1;
+    }
+
+    /// Pops the head flit of input VC slot `i` (which must hold one),
+    /// keeping the live set and the buffered count in step.
+    fn pop_flit(&mut self, i: usize) -> Flit {
+        let buffer = &mut self.vcs[i].buffer;
+        let flit = buffer.pop_front().expect("granted VC has a flit");
+        if buffer.is_empty() {
+            self.live[i / 64] &= !(1 << (i % 64));
+        }
+        self.buffered -= 1;
+        flit
+    }
+
+    /// Queues `flit` on input port `port`'s bypass retry queue.
+    fn park(&mut self, port: usize, flit: Flit) {
+        self.bypass_retry[port].push_back(flit);
+        self.retry_queued += 1;
+    }
+
+    /// The incremental bookkeeping recomputed from the buffers: the
+    /// live-VC bitset, the buffered-flit count and the queued bypass
+    /// retries.
+    fn recount(&self) -> (Vec<u64>, usize, usize) {
+        let mut live = vec![0u64; self.live.len()];
+        let mut buffered = 0;
+        for (i, vc) in self.vcs.iter().enumerate() {
+            if !vc.buffer.is_empty() {
+                live[i / 64] |= 1 << (i % 64);
+                buffered += vc.buffer.len();
+            }
+        }
+        let retries = self.bypass_retry.iter().map(VecDeque::len).sum();
+        (live, buffered, retries)
+    }
+
+    /// Checks the incremental bookkeeping (live-VC set, buffered count,
+    /// queued retries) against a from-scratch recount.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn check_bookkeeping(&self) -> Result<(), String> {
+        let (live, buffered, retries) = self.recount();
+        if live != self.live || buffered != self.buffered || retries != self.retry_queued {
+            return Err(format!(
+                "{:?}: live {:x?}/{:x?} buffered {}/{} retries {}/{} (kept/recounted)",
+                self.node, self.live, live, self.buffered, buffered, self.retry_queued, retries
+            ));
+        }
+        Ok(())
     }
 
     pub(crate) fn set_trace_sink(&mut self, sink: TraceSink) {
@@ -207,21 +289,21 @@ impl Router {
     /// by wedge-diagnosis assertions to show *where* traffic stuck.
     pub(crate) fn debug_dump(&self, out: &mut String) {
         use std::fmt::Write;
-        for (p, port) in self.inputs.iter().enumerate() {
-            for (v, vc) in port.vcs.iter().enumerate() {
-                if !vc.is_idle() {
-                    let head = vc
-                        .buffer
-                        .front()
-                        .map(|f| (f.packet.0, f.kind, f.on_circuit.is_some()));
-                    writeln!(
-                        out,
-                        "  {:?} in[{p}][{v}] state={:?} since={} route={:?} out_vc={:?} buf={} head={:?}",
-                        self.node, vc.state, vc.state_since, vc.route, vc.out_vc,
-                        vc.buffer.len(), head
-                    )
-                    .ok();
-                }
+        let total = self.vcs_per_port;
+        for (i, vc) in self.vcs.iter().enumerate() {
+            if !vc.is_idle() {
+                let (p, v) = (i / total, i % total);
+                let head = vc
+                    .buffer
+                    .front()
+                    .map(|f| (f.packet.0, f.kind, f.on_circuit.is_some()));
+                writeln!(
+                    out,
+                    "  {:?} in[{p}][{v}] state={:?} since={} route={:?} out_vc={:?} buf={} head={:?}",
+                    self.node, vc.state, vc.state_since, vc.route, vc.out_vc,
+                    vc.buffer.len(), head
+                )
+                .ok();
             }
         }
         for (p, q) in self.bypass_retry.iter().enumerate() {
@@ -233,13 +315,11 @@ impl Router {
                 writeln!(out, "  {:?} bypass_retry[{p}]: {items:?}", self.node).ok();
             }
         }
-        for (o, outp) in self.outputs.iter().enumerate() {
-            let owned: Vec<_> = outp
-                .owner
-                .iter()
-                .enumerate()
-                .filter(|(_, ow)| **ow != Owner::Free)
-                .map(|(v, ow)| format!("vc{v}={ow:?} cr{}", outp.credits[v]))
+        for o in 0..self.ports {
+            let owned: Vec<_> = (0..total)
+                .map(|v| (v, self.slot(o, v)))
+                .filter(|&(_, i)| self.owner[i] != Owner::Free)
+                .map(|(v, i)| format!("vc{v}={:?} cr{}", self.owner[i], self.credits[i]))
                 .collect();
             if !owned.is_empty() {
                 writeln!(out, "  {:?} out[{o}]: {owned:?}", self.node).ok();
@@ -267,18 +347,16 @@ impl Router {
         undos: &mut Vec<(CircuitKey, NodeId)>,
         out: &mut Vec<Outgoing>,
     ) {
-        for o in &mut self.outputs {
-            o.busy = false;
-        }
+        self.busy.fill(false);
         // Stamp the table's clock so leak detection can age entries.
         self.circuits.note_now(now);
 
         // Credits (and the undo information they may carry, §4.4).
         for (port, vc) in credits.drain(..) {
-            let o = &mut self.outputs[port];
-            o.credits[vc] += 1;
-            if o.owner[vc] == Owner::Draining && o.credits[vc] >= self.buffer_depth {
-                o.owner[vc] = Owner::Free;
+            let i = self.slot(port, vc);
+            self.credits[i] += 1;
+            if self.owner[i] == Owner::Draining && self.credits[i] >= self.buffer_depth {
+                self.owner[i] = Owner::Free;
             }
         }
         for (key, dst) in undos.drain(..) {
@@ -293,14 +371,31 @@ impl Router {
         }
 
         // Retry queued bypass flits (in order per input), then arrivals.
-        self.drain_bypass_retries(now, out);
+        if self.retry_queued > 0 {
+            self.drain_bypass_retries(now, out);
+        }
         for (port, flit) in arrivals.drain(..) {
             self.receive(now, port, flit, out);
         }
 
         self.stage_st(now, out);
-        self.stage_sa(now);
-        self.stage_va(now, out);
+        // SA and VA only ever act on VCs that hold a flit; with none
+        // buffered every arbiter would see an empty request set and keep
+        // its pointer, so both stages are skipped outright.
+        if self.buffered > 0 {
+            // The live slots, ascending: (port, VC) order.
+            self.live_scratch.clear();
+            for (w, &word) in self.live.iter().enumerate() {
+                let mut bits = word;
+                while bits != 0 {
+                    self.live_scratch
+                        .push(w * 64 + bits.trailing_zeros() as usize);
+                    bits &= bits - 1;
+                }
+            }
+            self.stage_sa(now);
+            self.stage_va(now, out);
+        }
     }
 
     /// `true` when a tick with no arriving messages could still change
@@ -310,10 +405,7 @@ impl Router {
     /// `busy` flags, re-stamps the table clock and runs empty stage
     /// loops — all no-ops — so the event kernel may skip its tick.
     pub(crate) fn is_active(&self, now: Cycle) -> bool {
-        if !self.st_pending.is_empty() || self.buffered_flits() > 0 {
-            return true;
-        }
-        if self.bypass_retry.iter().any(|q| !q.is_empty()) {
+        if !self.st_pending.is_empty() || self.buffered > 0 || self.retry_queued > 0 {
             return true;
         }
         if self.mechanism.timed.is_timed() {
@@ -365,21 +457,24 @@ impl Router {
 
     fn drain_bypass_retries(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
         for p in 0..self.ports {
-            while let Some(flit) = self.bypass_retry[p].front().cloned() {
-                match self.bypass_check(p, &flit) {
+            while let Some(head) = self.bypass_retry[p].front() {
+                let (key, is_head, vc) = (head.on_circuit, head.kind.is_head(), head.vc);
+                match self.bypass_check(p, key, is_head) {
                     BypassCheck::Ready => {
                         let flit = self.bypass_retry[p].pop_front().expect("front checked");
+                        self.retry_queued -= 1;
                         self.execute_bypass(now, p, flit, out);
                     }
                     BypassCheck::Busy => break,
                     BypassCheck::Pipeline => {
-                        if flit.kind.is_head() && !self.inputs[p].vcs[flit.vc].is_idle() {
+                        if is_head && !self.vcs[self.slot(p, vc)].is_idle() {
                             // The fallback VC is still draining an earlier
                             // packet: hold the stream here (in order) until
                             // it idles instead of corrupting the wormhole.
                             break;
                         }
                         let flit = self.bypass_retry[p].pop_front().expect("front checked");
+                        self.retry_queued -= 1;
                         self.buffer_flit(now, p, flit);
                     }
                 }
@@ -387,9 +482,15 @@ impl Router {
         }
     }
 
-    /// Whether a circuit-tagged flit can take the bypass path right now.
-    fn bypass_check(&mut self, port: usize, flit: &Flit) -> BypassCheck {
-        let Some(key) = flit.on_circuit else {
+    /// Whether a flit arriving on `port` with circuit tag `on_circuit`
+    /// can take the bypass path right now.
+    fn bypass_check(
+        &mut self,
+        port: usize,
+        on_circuit: Option<CircuitKey>,
+        is_head: bool,
+    ) -> BypassCheck {
+        let Some(key) = on_circuit else {
             return BypassCheck::Pipeline;
         };
         if self.degraded {
@@ -405,9 +506,7 @@ impl Router {
             // already fell back and released the entry.
             return BypassCheck::Pipeline;
         };
-        if self.mechanism.mode == CircuitMode::Fragmented
-            && flit.kind.is_head()
-            && entry.out_port < PORT_LOCAL
+        if self.mechanism.mode == CircuitMode::Fragmented && is_head && entry.out_port < PORT_LOCAL
         {
             // Fragmented circuits keep buffers: the downstream circuit VC
             // must be able to hold the whole message in case its own
@@ -419,12 +518,12 @@ impl Router {
                 .circuit_vc(entry.vc as usize % self.layout.circuit_vcs);
             // A head needs the downstream VC completely idle (all credits
             // home), like the packet-switched Draining rule.
-            if self.outputs[entry.out_port].credits[gvc] < self.buffer_depth {
+            if self.credits[self.slot(entry.out_port, gvc)] < self.buffer_depth {
                 self.circuits.release(port, key);
                 return BypassCheck::Pipeline;
             }
         }
-        if self.outputs[entry.out_port].busy {
+        if self.busy[entry.out_port] {
             // Ideal mode resolves collisions per cycle (§4.8); fragmented
             // circuits may share an output port through different circuit
             // VCs. The complete-circuit conflict rules make this
@@ -446,16 +545,16 @@ impl Router {
             // Keep stream order: if earlier flits of this input are already
             // queued for retry, queue behind them.
             if !self.bypass_retry[port].is_empty() {
-                self.bypass_retry[port].push_back(flit);
+                self.park(port, flit);
                 return;
             }
-            match self.bypass_check(port, &flit) {
+            match self.bypass_check(port, flit.on_circuit, flit.kind.is_head()) {
                 BypassCheck::Ready => {
                     self.execute_bypass(now, port, flit, out);
                     return;
                 }
                 BypassCheck::Busy => {
-                    self.bypass_retry[port].push_back(flit);
+                    self.park(port, flit);
                     return;
                 }
                 BypassCheck::Pipeline => {}
@@ -507,8 +606,7 @@ impl Router {
                 arrive: now + self.link_latency as Cycle,
             });
         }
-        let o = &mut self.outputs[entry.out_port];
-        o.busy = true;
+        self.busy[entry.out_port] = true;
         self.activity.xbar_traversals += 1;
         flit.vc = if self.layout.circuit_vcs > 0 {
             self.layout
@@ -519,7 +617,8 @@ impl Router {
         // Fragmented circuit VCs are buffered and credited; the bypass
         // consumes the downstream slot it may need at a gap router.
         if self.mechanism.mode == CircuitMode::Fragmented && entry.out_port < PORT_LOCAL {
-            o.credits[flit.vc] = o.credits[flit.vc]
+            let o = self.slot(entry.out_port, flit.vc);
+            self.credits[o] = self.credits[o]
                 .checked_sub(1)
                 .expect("fragmented bypass head verified whole-message credits");
         }
@@ -538,8 +637,8 @@ impl Router {
 
     /// Stage 1: buffer write and route computation.
     fn buffer_flit(&mut self, now: Cycle, port: usize, flit: Flit) {
-        let vc_idx = flit.vc;
-        if flit.kind.is_head() && !self.inputs[port].vcs[vc_idx].is_idle() {
+        let i = self.slot(port, flit.vc);
+        if flit.kind.is_head() && !self.vcs[i].is_idle() {
             // A head whose fallback VC is still draining an earlier
             // packet — e.g. a timed circuit stream that lost its window
             // behind a stuck port and degraded to the pipeline. It must
@@ -547,10 +646,9 @@ impl Router {
             // retries ([`Router::drain_bypass_retries`] holds it until
             // the VC idles, and the non-empty queue keeps its body flits
             // behind it in arrival order).
-            self.bypass_retry[port].push_back(flit);
+            self.park(port, flit);
             return;
         }
-        let vc = &mut self.inputs[port].vcs[vc_idx];
         self.activity.buffer_writes += 1;
         if flit.kind.is_head() {
             // Detoured packets follow the source route recorded in their
@@ -561,12 +659,13 @@ impl Router {
                 .as_deref()
                 .and_then(|p| self.topology.next_hop_on_path(p, self.node, flit.dst))
                 .unwrap_or_else(|| self.topology.next_hop_port(self.node, flit.dst, routing));
+            let vc = &mut self.vcs[i];
             vc.route = Some(hop);
             vc.state = VcState::WaitVa;
             vc.state_since = now;
             vc.circuit_attempted = false;
         }
-        vc.buffer.push_back(flit);
+        self.push_flit(i, flit);
     }
 
     /// Stage 4: switch traversal for last cycle's SA winners. Circuit
@@ -576,20 +675,20 @@ impl Router {
         // Swap the grant list into scratch so blocked grants can re-queue
         // onto `st_pending` without reallocating either vector.
         std::mem::swap(&mut self.st_pending, &mut self.st_scratch);
-        for i in 0..self.st_scratch.len() {
-            let g = self.st_scratch[i];
-            let vc = &self.inputs[g.in_port].vcs[g.in_vc];
+        for k in 0..self.st_scratch.len() {
+            let g = self.st_scratch[k];
+            let i = self.slot(g.in_port, g.in_vc);
+            let vc = &self.vcs[i];
             let route = vc.route.expect("granted VC has a route");
             let out_vc = vc.out_vc.expect("granted VC has an output VC");
-            if self.outputs[route].busy {
+            if self.busy[route] {
                 self.st_pending.push(g);
                 continue;
             }
-            let vc = &mut self.inputs[g.in_port].vcs[g.in_vc];
-            let mut flit = vc.buffer.pop_front().expect("granted VC has a flit");
+            let mut flit = self.pop_flit(i);
             let is_tail = flit.kind.is_tail();
             if is_tail {
-                vc.reset(now);
+                self.vcs[i].reset(now);
             }
             if flit.kind.is_head() {
                 self.sink.emit(|| TraceEvent {
@@ -611,20 +710,20 @@ impl Router {
                 arrive: now + self.link_latency as Cycle,
             });
 
-            let o = &mut self.outputs[route];
-            o.busy = true;
+            self.busy[route] = true;
+            let o = self.slot(route, out_vc);
             flit.vc = out_vc;
             let arrive = if route >= PORT_LOCAL {
                 now + 1
             } else {
-                o.credits[out_vc] = o.credits[out_vc]
+                self.credits[o] = self.credits[o]
                     .checked_sub(1)
                     .expect("SA checked a credit was available");
                 self.activity.link_flits += 1;
                 now + 1 + self.link_latency as Cycle
             };
             if is_tail {
-                o.owner[out_vc] = if route >= PORT_LOCAL {
+                self.owner[o] = if route >= PORT_LOCAL {
                     Owner::Free
                 } else {
                     Owner::Draining
@@ -639,115 +738,145 @@ impl Router {
         self.st_scratch.clear();
     }
 
-    /// Stage 3: two-phase round-robin switch allocation; winners traverse
-    /// the crossbar next cycle.
-    fn stage_sa(&mut self, now: Cycle) {
-        // Inputs with a grant still pending ST cannot be granted again.
-        // (Scratch vectors are swapped out of `self` so the round-robin
-        // arbiters can be borrowed mutably alongside them.)
-        let mut blocked = std::mem::take(&mut self.sa_blocked);
-        blocked.iter_mut().for_each(|b| *b = false);
-        for g in &self.st_pending {
-            blocked[g.in_port] = true;
+    /// Whether live VC slot `i` requests the switch this cycle: past VA
+    /// (and out of its VA cycle) with a credit for its output VC.
+    fn wants_switch(&self, now: Cycle, i: usize) -> bool {
+        let vc = &self.vcs[i];
+        debug_assert!(!vc.buffer.is_empty(), "only live VCs are asked");
+        let stage_ok = match vc.state {
+            VcState::WaitSa => vc.state_since < now,
+            VcState::Active => true,
+            _ => false,
+        };
+        if !stage_ok {
+            return false;
         }
-        // Phase 1: each input port nominates one VC.
-        let mut nominee = std::mem::take(&mut self.sa_nominee);
-        nominee.iter_mut().for_each(|n| *n = None);
-        #[allow(clippy::needless_range_loop)] // p indexes three parallel arrays
-        for p in 0..self.ports {
-            if blocked[p] {
-                continue;
-            }
-            let total = self.layout.total();
-            self.sa_requests.clear();
-            self.sa_requests.resize(total, false);
-            for v in 0..total {
-                let vc = &self.inputs[p].vcs[v];
-                let stage_ok = match vc.state {
-                    VcState::WaitSa => vc.state_since < now,
-                    VcState::Active => true,
-                    _ => false,
-                };
-                if !stage_ok || vc.buffer.is_empty() {
-                    continue;
-                }
-                let route = vc.route.expect("post-VA VC has a route");
-                let out_vc = vc.out_vc.expect("post-VA VC has an output VC");
-                let credit_ok = route >= PORT_LOCAL
-                    || self.outputs[route].credits[out_vc] > 0
-                    // Circuit-class VCs are reservation-managed, not
-                    // credited (fragmented gap traffic).
-                    || self.layout.is_circuit_vc(out_vc);
-                if credit_ok {
-                    self.sa_requests[v] = true;
-                }
-            }
-            nominee[p] = self.sa_rr_in[p].grant(&self.sa_requests);
-        }
-        // Phase 2: each output port picks one input.
-        let mut contenders = std::mem::take(&mut self.arb_scratch);
-        for out_port in 0..self.ports {
-            contenders.clear();
-            for (p, nom) in nominee.iter().enumerate() {
-                if nom.is_some_and(|v| self.inputs[p].vcs[v].route == Some(out_port)) {
-                    contenders.push(p);
-                }
-            }
-            if let Some(winner) = self.sa_rr_out[out_port].grant_among(&contenders) {
-                let v = nominee[winner].expect("winner nominated a VC");
-                let vc = &mut self.inputs[winner].vcs[v];
-                if vc.state == VcState::WaitSa {
-                    vc.state = VcState::Active;
-                    vc.state_since = now;
-                    let head = vc.buffer.front().expect("granted VC holds a flit");
-                    if head.kind.is_head() {
-                        let packet = head.packet.0;
-                        self.sink.emit(|| TraceEvent {
-                            cycle: now,
-                            kind: EventKind::StageSa {
-                                packet,
-                                node: self.node.0,
-                            },
-                        });
-                    }
-                }
-                self.activity.sw_allocs += 1;
-                self.st_pending.push(StGrant {
-                    in_port: winner,
-                    in_vc: v,
-                });
-            }
-        }
-        self.sa_blocked = blocked;
-        self.sa_nominee = nominee;
-        self.arb_scratch = contenders;
+        let route = vc.route.expect("post-VA VC has a route");
+        let out_vc = vc.out_vc.expect("post-VA VC has an output VC");
+        route >= PORT_LOCAL
+            || self.credits[self.slot(route, out_vc)] > 0
+            // Circuit-class VCs are reservation-managed, not
+            // credited (fragmented gap traffic).
+            || self.layout.is_circuit_vc(out_vc)
     }
 
-    /// Stage 2: VC allocation — and, in parallel, the reactive-circuit
-    /// reservation for request packets (§4.1).
-    fn stage_va(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
-        // Circuit reservations happen on the first VA attempt, whether or
-        // not the VC wins allocation this cycle.
-        for p in 0..self.ports {
-            for v in 0..self.layout.total() {
-                let vc = &self.inputs[p].vcs[v];
-                if vc.state == VcState::WaitVa && vc.state_since < now && !vc.circuit_attempted {
-                    self.attempt_reservation(now, p, v, out);
-                }
+    /// Stage 3: two-phase round-robin switch allocation over the live VCs
+    /// (`live_scratch`); winners traverse the crossbar next cycle. An
+    /// arbiter is consulted only when it has a requester — one with none
+    /// would return no grant and keep its pointer, so skipping it is
+    /// exact (DESIGN.md §16).
+    fn stage_sa(&mut self, now: Cycle) {
+        let total = self.vcs_per_port;
+        // Inputs with a grant still pending ST cannot be granted again.
+        self.sa_blocked.fill(false);
+        for g in &self.st_pending {
+            self.sa_blocked[g.in_port] = true;
+        }
+        // Phase 1: each input port nominates one VC. Live slots come
+        // port by port in ascending order.
+        self.sa_nominee.fill(None);
+        let live = std::mem::take(&mut self.live_scratch);
+        let mut requests = std::mem::take(&mut self.arb_scratch);
+        for port_slots in live.chunk_by(|a, b| a / total == b / total) {
+            let p = port_slots[0] / total;
+            if self.sa_blocked[p] {
+                continue;
+            }
+            requests.clear();
+            requests.extend(
+                port_slots
+                    .iter()
+                    .filter(|&&i| self.wants_switch(now, i))
+                    .map(|&i| i - p * total),
+            );
+            if !requests.is_empty() {
+                self.sa_nominee[p] = self.sa_rr_in[p].grant_among(&requests);
             }
         }
+        self.live_scratch = live;
+        self.arb_scratch = requests;
+        // Phase 2: each output port picks one nominating input.
+        for contenders in &mut self.by_out {
+            contenders.clear();
+        }
+        for p in 0..self.ports {
+            if let Some(v) = self.sa_nominee[p] {
+                let route = self.vcs[self.slot(p, v)]
+                    .route
+                    .expect("post-VA VC has a route");
+                self.by_out[route].push(p);
+            }
+        }
+        for out_port in 0..self.ports {
+            if self.by_out[out_port].is_empty() {
+                continue;
+            }
+            let Some(winner) = self.sa_rr_out[out_port].grant_among(&self.by_out[out_port]) else {
+                continue;
+            };
+            let v = self.sa_nominee[winner].expect("winner nominated a VC");
+            let i = self.slot(winner, v);
+            let vc = &mut self.vcs[i];
+            if vc.state == VcState::WaitSa {
+                vc.state = VcState::Active;
+                vc.state_since = now;
+                let head = vc.buffer.front().expect("granted VC holds a flit");
+                if head.kind.is_head() {
+                    let packet = head.packet.0;
+                    self.sink.emit(|| TraceEvent {
+                        cycle: now,
+                        kind: EventKind::StageSa {
+                            packet,
+                            node: self.node.0,
+                        },
+                    });
+                }
+            }
+            self.activity.sw_allocs += 1;
+            self.st_pending.push(StGrant {
+                in_port: winner,
+                in_vc: v,
+            });
+        }
+    }
 
-        // Two-phase allocation: requesters grouped by output port; one
-        // grant per output port per cycle, round-robin over input ports.
+    /// Stage 2: VC allocation over the live VCs (`live_scratch`) — and,
+    /// in parallel, the reactive-circuit reservation for request packets
+    /// (§4.1).
+    fn stage_va(&mut self, now: Cycle, out: &mut Vec<Outgoing>) {
+        let total = self.vcs_per_port;
+        // One pass over the live VCs: circuit reservations happen on the
+        // first VA attempt, whether or not the VC wins allocation this
+        // cycle, and every waiting VC joins its output port's requester
+        // list (slot order, so input ports come ascending).
+        for requesters in &mut self.by_out {
+            requesters.clear();
+        }
+        for k in 0..self.live_scratch.len() {
+            let i = self.live_scratch[k];
+            let vc = &self.vcs[i];
+            if vc.state != VcState::WaitVa || vc.state_since >= now {
+                continue;
+            }
+            let route = vc.route.expect("WaitVa VC has a route");
+            if !vc.circuit_attempted {
+                self.attempt_reservation(now, i / total, i % total, out);
+            }
+            self.by_out[route].push(i);
+        }
+
+        // Two-phase allocation: one grant per output port per cycle,
+        // round-robin over input ports. Output ports without requesters
+        // leave their arbiters untouched.
         let mut tried = std::mem::take(&mut self.arb_scratch);
         for out_port in 0..self.ports {
+            if self.by_out[out_port].is_empty() {
+                continue;
+            }
             tried.clear();
-            for p in 0..self.ports {
-                if self.inputs[p].vcs.iter().any(|vc| {
-                    vc.state == VcState::WaitVa
-                        && vc.state_since < now
-                        && vc.route == Some(out_port)
-                }) {
+            for &i in &self.by_out[out_port] {
+                let p = i / total;
+                if tried.last() != Some(&p) {
                     tried.push(p);
                 }
             }
@@ -776,18 +905,13 @@ impl Router {
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
                 candidates.extend(
-                    self.inputs[winner]
-                        .vcs
+                    self.by_out[out_port]
                         .iter()
-                        .enumerate()
-                        .filter(|(_, vc)| {
-                            vc.state == VcState::WaitVa
-                                && vc.state_since < now
-                                && vc.route == Some(out_port)
-                        })
-                        .map(|(v, vc)| {
+                        .filter(|&&i| i / total == winner)
+                        .map(|&i| {
+                            let vc = &self.vcs[i];
                             let head = vc.buffer.front().expect("WaitVa VC holds its head");
-                            (vc.state_since, v, head.vnet, head.dst)
+                            (vc.state_since, i % total, head.vnet, head.dst)
                         }),
                 );
                 candidates.sort_unstable_by_key(|&(since, v, _, _)| (since, v));
@@ -816,11 +940,13 @@ impl Router {
                     } else {
                         self.layout.allocatable_vcs(vnet)
                     };
-                    let free_vc =
-                        allocatable.find(|&ovc| self.outputs[out_port].owner[ovc] == Owner::Free);
+                    let free_vc = allocatable
+                        .find(|&ovc| self.owner[self.slot(out_port, ovc)] == Owner::Free);
                     if let Some(ovc) = free_vc {
-                        self.outputs[out_port].owner[ovc] = Owner::Owned(winner, v);
-                        let vc = &mut self.inputs[winner].vcs[v];
+                        let o = self.slot(out_port, ovc);
+                        self.owner[o] = Owner::Owned(winner, v);
+                        let i = self.slot(winner, v);
+                        let vc = &mut self.vcs[i];
                         vc.out_vc = Some(ovc);
                         vc.state = VcState::WaitSa;
                         vc.state_since = now;
@@ -851,17 +977,14 @@ impl Router {
     /// Number of flits buffered across all input VCs (occupancy telemetry
     /// and whitebox tests).
     pub(crate) fn buffered_flits(&self) -> usize {
-        self.inputs
-            .iter()
-            .flat_map(|p| p.vcs.iter())
-            .map(|v| v.buffer.len())
-            .sum()
+        self.buffered
     }
 
     /// The §4.1 reservation: while the request head sits in VA, write the
     /// reply's circuit into this router's tables.
     fn attempt_reservation(&mut self, now: Cycle, p: usize, v: usize, out: &mut Vec<Outgoing>) {
-        let vc = &mut self.inputs[p].vcs[v];
+        let i = self.slot(p, v);
+        let vc = &mut self.vcs[i];
         vc.circuit_attempted = true;
         let route = vc.route.expect("WaitVa VC has a route");
         let head = vc.buffer.front_mut().expect("WaitVa VC holds its head");
@@ -1007,13 +1130,27 @@ impl Router {
 
     /// The full dynamic state, for checkpointing. Taken at tick
     /// boundaries, where the per-tick scratch vectors (`st_scratch`,
-    /// `sa_requests`, `sa_blocked`, `sa_nominee`, `arb_scratch`,
-    /// `va_scratch`) are dead and the `busy` flags stale — everything
-    /// else is configuration, rebuilt from the [`NocConfig`].
+    /// `live_scratch`, `by_out`, `sa_blocked`, `sa_nominee`,
+    /// `arb_scratch`, `va_scratch`) are dead and the `busy` flags stale —
+    /// everything else is configuration, rebuilt from the [`NocConfig`],
+    /// or bookkeeping derived from the buffers. The flat per-router
+    /// arrays are regrouped per port, the checkpoint format.
     pub(crate) fn snapshot(&self) -> RouterSnapshot {
+        let total = self.vcs_per_port;
+        let per_port = |p: usize| p * total..(p + 1) * total;
         RouterSnapshot {
-            inputs: self.inputs.clone(),
-            outputs: self.outputs.clone(),
+            inputs: (0..self.ports)
+                .map(|p| InputPort {
+                    vcs: self.vcs[per_port(p)].to_vec(),
+                })
+                .collect(),
+            outputs: (0..self.ports)
+                .map(|o| OutputPort {
+                    credits: self.credits[per_port(o)].to_vec(),
+                    owner: self.owner[per_port(o)].to_vec(),
+                    busy: self.busy[o],
+                })
+                .collect(),
             circuits: self.circuits.clone(),
             st_pending: self.st_pending.clone(),
             sa_rr_in: self.sa_rr_in.clone(),
@@ -1026,10 +1163,17 @@ impl Router {
     }
 
     /// Overwrites the dynamic state from a [`Router::snapshot`] taken on
-    /// an identically-configured router.
+    /// an identically-configured router, then recounts the bookkeeping.
     pub(crate) fn restore(&mut self, snap: RouterSnapshot) {
-        self.inputs = snap.inputs;
-        self.outputs = snap.outputs;
+        self.vcs = snap.inputs.into_iter().flat_map(|p| p.vcs).collect();
+        self.credits.clear();
+        self.owner.clear();
+        self.busy.clear();
+        for o in snap.outputs {
+            self.credits.extend(o.credits);
+            self.owner.extend(o.owner);
+            self.busy.push(o.busy);
+        }
         self.circuits = snap.circuits;
         self.st_pending = snap.st_pending;
         self.sa_rr_in = snap.sa_rr_in;
@@ -1038,6 +1182,7 @@ impl Router {
         self.bypass_retry = snap.bypass_retry;
         self.degraded = snap.degraded;
         self.activity = snap.activity;
+        (self.live, self.buffered, self.retry_queued) = self.recount();
     }
 
     /// Reports every input VC that is blocked on a channel resource,
@@ -1048,8 +1193,10 @@ impl Router {
     /// in its allocatable class is free. Only runs on the cold
     /// watchdog path, so it allocates freely.
     pub(crate) fn waiters(&self, now: Cycle, out: &mut Vec<VcWaiter>) {
-        for (p, port) in self.inputs.iter().enumerate() {
-            for (v, vc) in port.vcs.iter().enumerate() {
+        let total = self.vcs_per_port;
+        for p in 0..self.ports {
+            let port = &self.vcs[p * total..(p + 1) * total];
+            for (v, vc) in port.iter().enumerate() {
                 if vc.is_idle() {
                     continue;
                 }
@@ -1061,14 +1208,15 @@ impl Router {
                 let Some(head) = vc.buffer.front() else {
                     continue;
                 };
-                let o = &self.outputs[route];
+                let o_credits = &self.credits[route * total..(route + 1) * total];
+                let o_owner = &self.owner[route * total..(route + 1) * total];
                 let mut edges = Vec::new();
                 let credits = match vc.out_vc {
                     Some(ov) => {
-                        if o.credits[ov] == 0 && !self.layout.is_circuit_vc(ov) {
+                        if o_credits[ov] == 0 && !self.layout.is_circuit_vc(ov) {
                             edges.push(WaitEdge::Downstream { out_vc: ov });
                         }
-                        o.credits[ov]
+                        o_credits[ov]
                     }
                     None => {
                         // Under the legacy oldest-only allocator a WaitVa
@@ -1077,8 +1225,7 @@ impl Router {
                         // shadowing VC, not on any output resource.
                         let shadow = (!self.va_hol_relief)
                             .then(|| {
-                                port.vcs
-                                    .iter()
+                                port.iter()
                                     .enumerate()
                                     .filter(|(_, o)| {
                                         o.state == VcState::WaitVa && o.route == Some(route)
@@ -1109,9 +1256,9 @@ impl Router {
                                 self.layout.allocatable_vcs(head.vnet)
                             };
                             let cands: Vec<usize> = allocatable.collect();
-                            if cands.iter().all(|&ovc| o.owner[ovc] != Owner::Free) {
+                            if cands.iter().all(|&ovc| o_owner[ovc] != Owner::Free) {
                                 for &ovc in &cands {
-                                    match o.owner[ovc] {
+                                    match o_owner[ovc] {
                                         Owner::Owned(hp, hv) => {
                                             edges.push(WaitEdge::Local {
                                                 in_port: hp,

@@ -121,15 +121,20 @@ pub struct L2Bank {
 }
 
 impl L2Bank {
+    /// Most tiles a directory can track: the sharer set is a 64-bit mask.
+    pub const MAX_TILES: usize = 64;
+
     /// An empty bank at `node`.
     ///
     /// # Panics
     ///
-    /// Panics for meshes of more than 64 tiles (the sharer set is a
-    /// 64-bit mask, enough for the paper's 16- and 64-core chips).
+    /// Panics for meshes of more than [`L2Bank::MAX_TILES`] tiles (the
+    /// sharer set is a 64-bit mask, enough for the paper's 16- and
+    /// 64-core chips). Chip assembly rejects such topologies with a
+    /// typed error first; this is the backstop.
     pub fn new(node: NodeId, topology: Topology, cfg: ProtocolConfig) -> Self {
         assert!(
-            topology.nodes() <= 64,
+            topology.nodes() <= Self::MAX_TILES,
             "sharer bitmask supports up to 64 tiles"
         );
         let array = CacheArray::new(cfg.l2);

@@ -118,7 +118,7 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Propagates mechanism-configuration validation errors.
+    /// Returns the configuration errors of [`Chip::with_faults`].
     pub fn new(
         topology: impl Into<Topology>,
         mechanism: MechanismConfig,
@@ -140,7 +140,11 @@ impl Chip {
     ///
     /// # Errors
     ///
-    /// Propagates mechanism-configuration validation errors.
+    /// Propagates mechanism-configuration validation errors; returns
+    /// [`ConfigError::TooManyTiles`](rcsim_core::ConfigError::TooManyTiles)
+    /// above the directory's tile limit and
+    /// [`ConfigError::CoreCountMismatch`](rcsim_core::ConfigError::CoreCountMismatch)
+    /// unless the workload runs one thread per tile.
     pub fn with_faults(
         topology: impl Into<Topology>,
         mechanism: MechanismConfig,
@@ -151,7 +155,19 @@ impl Chip {
     ) -> Result<Self, rcsim_core::ConfigError> {
         let topology = topology.into();
         mechanism.validate()?;
-        assert_eq!(workload.cores(), topology.nodes(), "one thread per core");
+        let tiles = topology.nodes();
+        if tiles > L2Bank::MAX_TILES {
+            return Err(rcsim_core::ConfigError::TooManyTiles {
+                tiles,
+                max: L2Bank::MAX_TILES,
+            });
+        }
+        if workload.cores() != tiles {
+            return Err(rcsim_core::ConfigError::CoreCountMismatch {
+                threads: workload.cores(),
+                tiles,
+            });
+        }
         proto_cfg.eliminate_acks = mechanism.eliminate_acks;
         proto_cfg.undo_on_l2_miss = mechanism.undo_on_l2_miss;
         let mut net = Network::with_faults(NocConfig::paper_baseline(topology, mechanism), faults)?;

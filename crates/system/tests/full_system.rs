@@ -2,9 +2,9 @@
 //! real coherence workload, stays coherent, and reproduces the paper's
 //! qualitative effects.
 
-use rcsim_core::{MechanismConfig, Mesh, Topology};
+use rcsim_core::{ConfigError, KernelMode, MechanismConfig, Mesh, Topology};
 use rcsim_protocol::ProtocolConfig;
-use rcsim_system::{run_sim, Chip, SimConfig};
+use rcsim_system::{run_sim, Chip, SimConfig, SimError, SimSession};
 use rcsim_workload::Workload;
 
 fn quick(cores: u16, mechanism: MechanismConfig, workload: &str) -> SimConfig {
@@ -13,6 +13,42 @@ fn quick(cores: u16, mechanism: MechanismConfig, workload: &str) -> SimConfig {
         measure_cycles: 15_000,
         ..SimConfig::quick(cores, mechanism, workload)
     }
+}
+
+/// A full-system chip above the directory's 64-tile sharer set is a
+/// configuration error, reported before any bank is built — not a panic.
+#[test]
+fn oversized_full_system_is_a_config_error() {
+    let cfg = SimConfig::quick(256, MechanismConfig::complete(), "canneal");
+    match SimSession::new(&cfg, None, KernelMode::Event, 1) {
+        Err(SimError::Config(ConfigError::TooManyTiles { tiles, max })) => {
+            assert_eq!((tiles, max), (256, 64));
+        }
+        Err(e) => panic!("wrong error: {e}"),
+        Ok(_) => panic!("a 256-tile full system must be rejected"),
+    }
+}
+
+/// A workload must run one thread per tile.
+#[test]
+fn workload_size_mismatch_is_a_config_error() {
+    let mesh: Topology = Mesh::square(16).unwrap().into();
+    let wl = Workload::by_name("canneal", 64, 7).unwrap();
+    let err = Chip::new(
+        mesh,
+        MechanismConfig::baseline(),
+        ProtocolConfig::small_for_tests(&mesh),
+        &wl,
+    )
+    .err()
+    .expect("a 64-thread workload on 16 tiles must be rejected");
+    assert_eq!(
+        err,
+        ConfigError::CoreCountMismatch {
+            threads: 64,
+            tiles: 16
+        }
+    );
 }
 
 #[test]

@@ -329,4 +329,23 @@ RC_CKPT_BENCH_CYCLES=2000 RC_CKPT_BENCH_REPS=2 \
 test -s target/experiments/BENCH_checkpoint.json
 $CARGO run --release -q -p rcsim-bench --bin validate_bench "$@"
 
+echo "==> perfbench self-test + benchmark byte-identity (--tiny fingerprints)"
+# The host-speed benchmark (perfbench/, its own cargo workspace) must
+# pass its self-test, and speed-only changes must not move what it
+# simulates: the --tiny sim_fingerprint of every benchmark workload at
+# seed 49600 is pinned here. A change that means to alter simulated
+# behaviour updates these values and says why.
+$CARGO test --release --manifest-path perfbench/Cargo.toml
+for pinned in fs64-canneal=fd4ea47058a7c1d7 fs16-blackscholes=1064934417e962a9 \
+              noc256-echo=b080e5c88fa2a3e1; do
+  workload=${pinned%%=*}
+  want=${pinned#*=}
+  got=$($CARGO run --release --quiet --manifest-path perfbench/Cargo.toml -- \
+          --workload "$workload" --seed 49600 --seconds 1 --trace 0 --tiny \
+        | awk '$1 == "sim_fingerprint" { print $2 }')
+  [ "$got" = "$want" ] \
+    || { echo "FAIL: $workload --tiny sim_fingerprint is ${got:-missing}, pinned $want"; exit 1; }
+  echo "    $workload $got"
+done
+
 echo "CI gate passed."
