@@ -10,7 +10,7 @@
 
 use rcsim_bench::{bench_row, cores_list, save_bench_summary, save_json, BenchSummary, PointSpec};
 use rcsim_core::MechanismConfig;
-use rcsim_system::{run_sim_with_kernel, KernelMode, RunResult};
+use rcsim_system::{run_sim_with, KernelMode, RunResult};
 use std::time::Instant;
 
 /// Serial repetitions per (point, kernel); the minimum wall time is
@@ -24,8 +24,8 @@ fn time_kernel(spec: &PointSpec, kernel: KernelMode) -> (f64, RunResult) {
     let mut result = None;
     for _ in 0..REPS {
         let start = Instant::now();
-        let r = run_sim_with_kernel(&cfg, kernel)
-            .unwrap_or_else(|e| panic!("{} failed: {e}", spec.label()));
+        let r =
+            run_sim_with(&cfg, kernel).unwrap_or_else(|e| panic!("{} failed: {e}", spec.label()));
         best = best.min(start.elapsed().as_secs_f64() * 1e3);
         result = Some(r);
     }

@@ -42,9 +42,9 @@ pub mod circuit;
 pub mod config;
 pub mod geometry;
 pub mod policy;
+pub mod region;
 pub mod routing;
 pub mod sched;
-pub mod shard;
 pub mod topology;
 pub mod types;
 
@@ -54,9 +54,9 @@ pub use policy::{
     AdaptiveConfig, CongestionMap, CongestionSnapshot, PolicyController, RegionDecision,
     RegionMode, RegionSample, SCORE_SCALE,
 };
+pub use region::RegionPlan;
 pub use routing::{TopologyHealth, TopologyHealthSnapshot};
 pub use sched::{KernelMode, WakeTimes};
-pub use shard::{shards_from_env, ShardPlan};
 pub use topology::{
     Topology, TopologySpec, PORT_EAST, PORT_LOCAL, PORT_NORTH, PORT_SOUTH, PORT_WEST,
 };

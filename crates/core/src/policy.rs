@@ -5,8 +5,9 @@
 //! The controller itself is a pure state machine: [`PolicyController::decide`]
 //! is a function of `(controller state, now, samples)` only — no RNG, no
 //! clocks, no host-dependent input — which is what keeps adaptive runs
-//! bit-reproducible per seed and invariant under `RC_KERNEL` / `RC_SHARDS`
-//! (decisions are taken in the serial tick prologue; see DESIGN.md §14).
+//! bit-reproducible per seed and invariant under `RC_KERNEL` (decisions
+//! are taken in the tick prologue, which runs under both kernels; see
+//! DESIGN.md §14).
 //! What a *hot* verdict means is up to the embedder (`rcsim-noc` suppresses
 //! circuit construction and plans congestion-aware detours); this module only
 //! decides *when* a region changes state:
@@ -17,10 +18,10 @@
 //! * **min-dwell** — after any switch, the region holds its state for at
 //!   least `min_dwell` cycles, bounding the switch frequency outright.
 //!
-//! Regions are contiguous router ranges from a [`ShardPlan`](crate::shard)
-//! built with `regions` domains — deliberately independent of the
-//! `RC_SHARDS` execution plan, so the region map (and therefore every
-//! decision) is identical at any shard count.
+//! Regions are the contiguous router ranges of a
+//! [`RegionPlan`](crate::region::RegionPlan) built with
+//! [`AdaptiveConfig::regions`] parts: a pure function of the topology and
+//! the region count, so the region map is identical on every run.
 
 use crate::config::ConfigError;
 use crate::types::Cycle;
@@ -61,8 +62,8 @@ pub struct AdaptiveConfig {
     /// prologue; must be non-zero.
     #[serde(default = "default_decision_epoch")]
     pub decision_epoch: Cycle,
-    /// Number of contiguous router regions (clamped to the router count,
-    /// like `RC_SHARDS`); must be non-zero.
+    /// Number of contiguous router regions (clamped to the router
+    /// count); must be non-zero.
     #[serde(default = "default_regions")]
     pub regions: usize,
     /// A calm region becomes hot when its score reaches this threshold

@@ -73,17 +73,6 @@ impl WakeTimes {
     pub fn due(&self, i: usize, now: Cycle) -> bool {
         self.next[i] <= now
     }
-
-    /// The raw wake-cycle slots, for sharded ticking: the sharded kernel
-    /// splits this slice into disjoint per-shard sub-slices (one worker
-    /// per contiguous component range) and applies the same three
-    /// operations directly — `slot <= now` for [`WakeTimes::due`],
-    /// `slot = slot.min(t)` for [`WakeTimes::wake_at`], `slot = t` for
-    /// [`WakeTimes::set`] — so the serial and sharded paths share one
-    /// semantics.
-    pub fn as_mut_slice(&mut self) -> &mut [Cycle] {
-        &mut self.next
-    }
 }
 
 #[cfg(test)]

@@ -19,9 +19,9 @@ use crate::stats::{CircuitOutcome, NocStats};
 use rcsim_core::circuit::CircuitKey;
 use rcsim_core::routing::{path_is_healthy, Routing};
 use rcsim_core::{
-    shards_from_env, AdaptiveConfig, ConfigError, CongestionMap, CongestionSnapshot, Cycle,
-    Direction, KernelMode, MessageClass, NodeId, PolicyController, RegionMode, RegionSample,
-    ShardPlan, Topology, TopologyHealth, TopologyHealthSnapshot, WakeTimes, PORT_LOCAL,
+    AdaptiveConfig, ConfigError, CongestionMap, CongestionSnapshot, Cycle, Direction, KernelMode,
+    MessageClass, NodeId, PolicyController, RegionMode, RegionPlan, RegionSample, TopologyHealth,
+    TopologyHealthSnapshot, WakeTimes, PORT_LOCAL,
 };
 use rcsim_trace::{EventKind, TraceSink};
 use serde::{Deserialize, Serialize};
@@ -196,188 +196,6 @@ struct Scratch {
     stuck: Vec<bool>,
 }
 
-/// One shard worker's state: reusable per-tick buffers (the sharded
-/// equivalent of [`Scratch`]) plus the per-tick merge staging the serial
-/// phase C consumes. Owned by the network so the steady-state loop
-/// allocates nothing, and lent to exactly one worker per tick.
-#[derive(Debug, Default)]
-struct ShardLocal {
-    // Worker-private tick buffers (mirror `Scratch`).
-    ejected: Vec<Flit>,
-    ni_credits: Vec<usize>,
-    ni_out: NiOut,
-    arrivals: Vec<(usize, Flit)>,
-    credits: Vec<(usize, usize)>,
-    undos: Vec<(CircuitKey, NodeId)>,
-    outgoing_tmp: Vec<Outgoing>,
-    // Staged outputs for the serial merge.
-    /// `true` when any flit moved in this shard this tick.
-    moved: bool,
-    /// One entry per NI whose tick produced observable output, in tile
-    /// order (NIs with nothing to report are skipped — by definition they
-    /// have no effect on the merge).
-    ni_merge: Vec<NiMerge>,
-    /// This shard's deliveries this tick, in (tile, ejection) order;
-    /// sliced by [`NiMerge::n_delivered`].
-    delivered: Vec<Delivered>,
-    /// Corrupt-discarded packets, same ordering, sliced by
-    /// [`NiMerge::n_corrupt`].
-    corrupt: Vec<PacketId>,
-    /// `(router index, outgoing count)` per router with output, in router
-    /// order.
-    router_merge: Vec<(usize, usize)>,
-    /// Concatenated router outputs, sliced by [`ShardLocal::router_merge`].
-    outgoing: Vec<Outgoing>,
-}
-
-/// The merge-relevant summary of one NI's tick: everything the serial
-/// phase C must replay, in the serial path's per-NI order (deliveries,
-/// then the at-most-one injection, then reroutes, then retries).
-#[derive(Debug)]
-struct NiMerge {
-    tile: usize,
-    n_delivered: usize,
-    n_corrupt: usize,
-    injection: Option<(MessageClass, u32)>,
-    reroutes: u64,
-    congestion_reroutes: u64,
-}
-
-/// The disjoint slice of network state one shard worker owns for a tick:
-/// its tile range's NIs, inboxes and wake slots, its router range's
-/// routers, inboxes and wake slots, and its [`ShardLocal`]. Built by
-/// progressive `split_at_mut` over the network's vectors, so workers can
-/// run concurrently without any sharing — a tile's router is always in
-/// the tile's own shard ([`ShardPlan`] cuts on router boundaries).
-struct ShardWork<'a> {
-    tile0: usize,
-    router0: usize,
-    nis: &'a mut [Ni],
-    ni_inboxes: &'a mut [NiInbox],
-    ni_wake: &'a mut [Cycle],
-    routers: &'a mut [Router],
-    router_inboxes: &'a mut [RouterInbox],
-    router_wake: &'a mut [Cycle],
-    local: &'a mut ShardLocal,
-}
-
-/// Phase B of the sharded tick: one shard's NI and router loops. The
-/// body is the serial loops verbatim minus everything order-sensitive —
-/// statistics, retry scheduling, delivery bookkeeping and
-/// `route_outgoing` are staged into the shard's [`ShardLocal`] for the
-/// serial phase C to replay in fixed order. Writes go only through `w`'s
-/// disjoint slices, so any number of workers may run concurrently; see
-/// DESIGN.md §13 for the byte-identity argument.
-#[allow(clippy::too_many_arguments)]
-fn shard_phase_b(
-    w: &mut ShardWork<'_>,
-    now: Cycle,
-    event: bool,
-    topology: Topology,
-    topo: &TopologyHealth,
-    cong: &CongestionMap,
-    stuck: &[bool],
-    ports: usize,
-) {
-    let l = &mut *w.local;
-    l.moved = false;
-    l.ni_merge.clear();
-    l.delivered.clear();
-    l.corrupt.clear();
-    l.router_merge.clear();
-    l.outgoing.clear();
-
-    // NIs first (same order as the serial loop).
-    for t in 0..w.nis.len() {
-        let due = w.ni_wake[t] <= now;
-        if event && !due && !w.nis[t].is_active() {
-            continue;
-        }
-        if due {
-            w.ni_wake[t] = w.ni_inboxes[t].drain_due(now, &mut l.ejected, &mut l.ni_credits);
-        }
-        l.moved |= !l.ejected.is_empty();
-        l.ni_out.clear();
-        w.nis[t].tick(
-            now,
-            &mut l.ejected,
-            &mut l.ni_credits,
-            topo,
-            cong,
-            &mut l.ni_out,
-        );
-        l.moved |= !l.ni_out.flits.is_empty() || !l.ni_out.delivered.is_empty();
-        let tile = NodeId((w.tile0 + t) as u16);
-        let router = topology.router_of(tile).index() - w.router0;
-        let inject_port = topology.eject_port(tile);
-        for flit in l.ni_out.flits.drain(..) {
-            // Injection targets the tile's own router, which is always in
-            // this shard — the min-merge wake and push are local. Items
-            // arrive at `now + 1`, so a wake slot can only move to
-            // `now + 1`; it was `> now` (otherwise `due` already held and
-            // `set` ran first) either way, so the serial `set`-after-push
-            // and this `set`-before-push agree.
-            w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_inboxes[router].flits[inject_port].push((now + 1, flit));
-        }
-        for (key, dst) in l.ni_out.undos.drain(..) {
-            w.router_wake[router] = w.router_wake[router].min(now + 1);
-            w.router_inboxes[router].undos.push((now + 1, key, dst));
-        }
-        let injection = l.ni_out.injection.take();
-        if !l.ni_out.delivered.is_empty()
-            || !l.ni_out.corrupt_discards.is_empty()
-            || injection.is_some()
-            || l.ni_out.reroutes > 0
-            || l.ni_out.congestion_reroutes > 0
-        {
-            l.ni_merge.push(NiMerge {
-                tile: w.tile0 + t,
-                n_delivered: l.ni_out.delivered.len(),
-                n_corrupt: l.ni_out.corrupt_discards.len(),
-                injection,
-                reroutes: l.ni_out.reroutes,
-                congestion_reroutes: l.ni_out.congestion_reroutes,
-            });
-            l.delivered.append(&mut l.ni_out.delivered);
-            l.corrupt.append(&mut l.ni_out.corrupt_discards);
-        }
-    }
-
-    // Routers (the fault pre-pass already ran densely in phase A; this
-    // loop only reads its flattened stuck flags).
-    for r in 0..w.routers.len() {
-        let i = w.router0 + r;
-        let flags = &stuck[i * ports..(i + 1) * ports];
-        let due = w.router_wake[r] <= now;
-        if event && !due && !w.routers[r].is_active(now) {
-            continue;
-        }
-        if due {
-            w.router_wake[r] = w.router_inboxes[r].drain_due(
-                now,
-                flags,
-                &mut l.arrivals,
-                &mut l.credits,
-                &mut l.undos,
-            );
-        }
-        l.moved |= !l.arrivals.is_empty();
-        l.outgoing_tmp.clear();
-        w.routers[r].tick(
-            now,
-            &mut l.arrivals,
-            &mut l.credits,
-            &mut l.undos,
-            &mut l.outgoing_tmp,
-        );
-        if !l.outgoing_tmp.is_empty() {
-            l.router_merge.push((i, l.outgoing_tmp.len()));
-            l.outgoing.append(&mut l.outgoing_tmp);
-        }
-    }
-}
-
 /// One scheduled permanent-fault transition, precomputed at construction
 /// from the [`FaultConfig`] and applied densely at the top of the cycle
 /// loop (RNG-free, so both kernels see the identical fault stream).
@@ -394,15 +212,13 @@ enum TopoChange {
 }
 
 /// Runtime state of the adaptive policy layer (DESIGN.md §14): the knobs,
-/// the region map (its *own* `ShardPlan`, independent of the `RC_SHARDS`
-/// execution plan so decisions are shard-invariant), the deterministic
-/// controller, the cumulative counters and the next decision cycle.
-/// Boxed behind `Option` so the default (adaptive-off) network carries a
-/// single extra pointer.
+/// the region map, the deterministic controller, the cumulative counters
+/// and the next decision cycle. Boxed behind `Option` so the default
+/// (adaptive-off) network carries a single extra pointer.
 #[derive(Debug)]
 struct AdaptiveState {
     cfg: AdaptiveConfig,
-    plan: ShardPlan,
+    plan: RegionPlan,
     controller: PolicyController,
     report: AdaptiveReport,
     next_decision: Cycle,
@@ -488,16 +304,6 @@ pub struct Network {
     ingress: Option<Box<IngressState>>,
     /// Where trace events go; [`TraceSink::Disabled`] by default.
     sink: TraceSink,
-    /// In-tick domain decomposition; `None` selects the serial path. See
-    /// [`Network::set_shards`].
-    shard_plan: Option<ShardPlan>,
-    /// One [`ShardLocal`] per shard (empty on the serial path).
-    shard_locals: Vec<ShardLocal>,
-    /// Per-NI staging buffers, installed while sharded tracing is active
-    /// (see [`Network::rewire_sinks`]); empty otherwise.
-    ni_stage: Vec<TraceSink>,
-    /// Per-router staging buffers for sharded tracing; empty otherwise.
-    router_stage: Vec<TraceSink>,
     /// Adaptive policy layer; `None` (the default) is the exact seed
     /// behavior. See [`Network::enable_adaptive`].
     adaptive: Option<Box<AdaptiveState>>,
@@ -548,7 +354,7 @@ impl Network {
             }
         }
         fault_schedule.sort_by_key(|&(t, _)| t);
-        let mut net = Self {
+        Ok(Self {
             cfg,
             routers: cfg
                 .topology
@@ -586,45 +392,9 @@ impl Network {
             scratch: Scratch::default(),
             ingress: None,
             sink: TraceSink::default(),
-            shard_plan: None,
-            shard_locals: Vec::new(),
-            ni_stage: Vec::new(),
-            router_stage: Vec::new(),
             adaptive: None,
             congestion: CongestionMap::new(routers_n),
-        };
-        // Like the kernel, the shard count is an environment knob rather
-        // than part of the (serialized, cache-keyed) configuration:
-        // results are byte-identical at any count, so it must never
-        // invalidate caches or goldens.
-        net.set_shards(shards_from_env());
-        Ok(net)
-    }
-
-    /// Selects the in-tick shard count: `1` (the default) is the serial
-    /// path; `n > 1` partitions the fabric into `n` contiguous router
-    /// domains ticked on `n` scoped worker threads per cycle. Results are
-    /// required — and tested, see `rcsim-system/tests/kernel_diff.rs` —
-    /// to be byte-identical at every count, making this purely a host
-    /// parallelism knob (the in-tick analogue of `RC_JOBS`). Counts above
-    /// the router count are clamped. Construction honours the
-    /// `RC_SHARDS` environment knob.
-    pub fn set_shards(&mut self, shards: usize) {
-        let shards = shards.clamp(1, self.cfg.topology.routers().max(1));
-        if shards <= 1 {
-            self.shard_plan = None;
-            self.shard_locals.clear();
-        } else {
-            let plan = ShardPlan::new(&self.cfg.topology, shards);
-            self.shard_locals = (0..plan.shards()).map(|_| ShardLocal::default()).collect();
-            self.shard_plan = Some(plan);
-        }
-        self.rewire_sinks();
-    }
-
-    /// The active in-tick shard count.
-    pub fn shards(&self) -> usize {
-        self.shard_plan.as_ref().map_or(1, ShardPlan::shards)
+        })
     }
 
     /// Selects the simulation kernel. Both kernels are required to
@@ -641,10 +411,10 @@ impl Network {
 
     /// Installs the adaptive runtime-policy layer (DESIGN.md §14): a
     /// deterministic per-region controller that, every
-    /// [`AdaptiveConfig::decision_epoch`] cycles — in the serial tick
-    /// prologue, so `RC_KERNEL` and `RC_SHARDS` byte-identity is
-    /// preserved — samples occupancy telemetry per region and flips
-    /// regions between calm and hot with hysteresis and min-dwell. While
+    /// [`AdaptiveConfig::decision_epoch`] cycles — in the tick prologue,
+    /// so `RC_KERNEL` byte-identity is preserved — samples occupancy
+    /// telemetry per region and flips regions between calm and hot with
+    /// hysteresis and min-dwell. While
     /// a region is hot, requests whose reply path would cross it skip
     /// circuit construction (path-sensitive mechanism switch; the
     /// established circuits through it are torn down via §4.4 undo), and
@@ -657,8 +427,8 @@ impl Network {
     /// their invariants (see [`AdaptiveConfig::validate`]).
     pub fn enable_adaptive(&mut self, cfg: AdaptiveConfig) -> Result<(), ConfigError> {
         cfg.validate()?;
-        let plan = ShardPlan::new(&self.cfg.topology, cfg.regions);
-        let controller = PolicyController::new(cfg, plan.shards());
+        let plan = RegionPlan::new(&self.cfg.topology, cfg.regions);
+        let controller = PolicyController::new(cfg, plan.regions());
         self.congestion.set_features(cfg.detour, cfg.mech_switch);
         self.adaptive = Some(Box::new(AdaptiveState {
             cfg,
@@ -687,39 +457,13 @@ impl Network {
     /// whole fabric records into one shared event log. Pass
     /// [`TraceSink::Disabled`] to turn tracing back off.
     pub fn set_trace_sink(&mut self, sink: TraceSink) {
-        self.sink = sink;
-        self.rewire_sinks();
-    }
-
-    /// (Re)installs per-component sinks for the active shard/trace
-    /// combination: direct clones of the shared sink on the serial path
-    /// (or when tracing is off), per-component staging buffers when the
-    /// sharded path is active with tracing on. Workers then record
-    /// concurrently without interleaving, and the merge replays every
-    /// buffer into the shared sink in fixed component order — reproducing
-    /// the serial emission order exactly. NIs and routers emit only from
-    /// inside their `tick`, so a staging buffer never carries events
-    /// across a cycle boundary.
-    fn rewire_sinks(&mut self) {
-        if self.shard_plan.is_some() && self.sink.is_enabled() {
-            self.ni_stage = self.nis.iter().map(|_| TraceSink::buffer()).collect();
-            self.router_stage = self.routers.iter().map(|_| TraceSink::buffer()).collect();
-            for (ni, stage) in self.nis.iter_mut().zip(&self.ni_stage) {
-                ni.set_trace_sink(stage.clone());
-            }
-            for (r, stage) in self.routers.iter_mut().zip(&self.router_stage) {
-                r.set_trace_sink(stage.clone());
-            }
-        } else {
-            self.ni_stage.clear();
-            self.router_stage.clear();
-            for ni in &mut self.nis {
-                ni.set_trace_sink(self.sink.clone());
-            }
-            for r in &mut self.routers {
-                r.set_trace_sink(self.sink.clone());
-            }
+        for ni in &mut self.nis {
+            ni.set_trace_sink(sink.clone());
         }
+        for r in &mut self.routers {
+            r.set_trace_sink(sink.clone());
+        }
+        self.sink = sink;
     }
 
     /// The occupancy snapshot the trace layer samples once per epoch.
@@ -981,27 +725,9 @@ impl Network {
         all
     }
 
-    /// Advances the network by one clock cycle.
-    ///
-    /// Under [`KernelMode::Event`] the NI and router loops skip
-    /// components with no due inbox traffic and no internal activity
-    /// (see [`Ni::is_active`] / [`Router::is_active`] for the no-op
-    /// argument); everything else — iteration order, drain order, fault
-    /// RNG draws, statistics — is shared verbatim with the dense kernel.
-    /// With [`Network::set_shards`] above 1, the sharded path runs
-    /// instead — byte-identical by construction, see
-    /// [`Network::tick_sharded`].
-    pub fn tick(&mut self) {
-        if self.shard_plan.is_some() {
-            self.tick_sharded();
-        } else {
-            self.tick_serial();
-        }
-    }
-
-    /// The serial prologue shared by both tick paths: scheduled fault
-    /// transitions, due end-to-end retransmissions, and the dense fault
-    /// pre-pass (all order-sensitive, none shardable).
+    /// The tick prologue: scheduled fault transitions, adaptive policy
+    /// decisions, due end-to-end retransmissions, and the dense fault
+    /// pre-pass. It runs for every component under both kernels.
     fn tick_prologue(&mut self, now: Cycle, stuck: &mut Vec<bool>) {
         // Scheduled dead-link / dead-router transitions fire first, before
         // anything moves this cycle: they are dense (kernel-independent)
@@ -1010,10 +736,10 @@ impl Network {
 
         // Adaptive policy decisions come next, after the fault map has
         // settled (a sample taken exactly at a fault-onset tick sees the
-        // post-onset state). Serial, dense, RNG-free: decisions — and the
+        // post-onset state). Dense and RNG-free: decisions — and the
         // trace events and teardowns they trigger — land at the same
-        // point of every tick path, which is the whole byte-identity
-        // argument for `RC_KERNEL` × `RC_SHARDS` under adaptation.
+        // point under both kernels, which keeps `RC_KERNEL` byte-identity
+        // under adaptation.
         self.adaptive_tick(now);
 
         // Due end-to-end retransmissions re-enter their source NI.
@@ -1125,8 +851,8 @@ impl Network {
 
     /// Per-region occupancy sums (the [`Network::telemetry`] quantities,
     /// split over the region plan's contiguous router/tile ranges).
-    fn region_samples(&self, plan: &ShardPlan) -> Vec<RegionSample> {
-        (0..plan.shards())
+    fn region_samples(&self, plan: &RegionPlan) -> Vec<RegionSample> {
+        (0..plan.regions())
             .map(|s| {
                 let rr = plan.router_range(s);
                 let routers = rr.len() as u64;
@@ -1164,7 +890,7 @@ impl Network {
     /// NIs are visited in index order and keys in sorted order, so the
     /// teardown (and its `CircuitTear` trace stream) is deterministic.
     /// Returns the circuits torn.
-    fn teardown_regions(&mut self, now: Cycle, plan: &ShardPlan, regions: &[usize]) -> u64 {
+    fn teardown_regions(&mut self, now: Cycle, plan: &RegionPlan, regions: &[usize]) -> u64 {
         let topology = self.cfg.topology;
         let mut torn = 0u64;
         for i in 0..self.nis.len() {
@@ -1173,7 +899,7 @@ impl Network {
                 let reply_path = topology.route_path(node, key.requestor, Routing::Yx);
                 if reply_path
                     .iter()
-                    .any(|r| regions.contains(&plan.shard_of_router(r.index())))
+                    .any(|r| regions.contains(&plan.region_of_router(r.index())))
                     && self.nis[i].teardown_origin(key)
                 {
                     torn += 1;
@@ -1188,11 +914,11 @@ impl Network {
     /// router loops: computes every router's stuck-port flags into
     /// `stuck` (flattened `router × port`), counts stuck-port cycles, and
     /// rolls each router's table-corruption draw. It runs for every
-    /// router in index order regardless of kernel or shard count, so the
-    /// fault RNG stream is `corrupt(0..n)` then `links(0..n)` — identical
-    /// across kernels and shard counts. Scheduled stuck-port windows
-    /// freeze individual input ports: their arrivals stay queued on the
-    /// link until the window ends.
+    /// router in index order under either kernel, so the fault RNG
+    /// stream is `corrupt(0..n)` then `links(0..n)` — identical across
+    /// kernels. Scheduled stuck-port windows freeze individual input
+    /// ports: their arrivals stay queued on the link until the window
+    /// ends.
     fn fault_pre_pass(&mut self, now: Cycle, stuck: &mut Vec<bool>) {
         let routers_n = self.cfg.topology.routers();
         let ports = self.cfg.topology.ports();
@@ -1239,8 +965,15 @@ impl Network {
         }
     }
 
-    /// The serial (single-shard) tick path.
-    fn tick_serial(&mut self) {
+    /// Advances the network by one clock cycle.
+    ///
+    /// Under [`KernelMode::Event`] the NI and router loops skip
+    /// components with no due inbox traffic and no internal activity (an
+    /// NI with nothing queued or streaming, a router with nothing
+    /// buffered or pending), whose tick would be a no-op; everything
+    /// else — iteration order, drain order, fault RNG draws, statistics —
+    /// is shared verbatim with the dense kernel.
+    pub fn tick(&mut self) {
         let now = self.now;
         let tiles = self.cfg.topology.nodes();
         let routers_n = self.cfg.topology.routers();
@@ -1275,12 +1008,8 @@ impl Network {
                 &mut s.ni_out,
             );
             moved |= !s.ni_out.flits.is_empty() || !s.ni_out.delivered.is_empty();
-            // Replay the tick's deferred statistics in the canonical
-            // per-NI order — deliveries (in ejection order), then the
-            // at-most-one injection, then reroutes. The sharded merge
-            // replays the same sequence from its staging buffers, which
-            // is what keeps f64 accumulation order (and therefore every
-            // statistic) byte-identical across shard counts.
+            // Record the tick's statistics: deliveries (in ejection
+            // order), then the at-most-one injection, then reroutes.
             for d in &s.ni_out.delivered {
                 self.stats.record_delivery(
                     d.class,
@@ -1370,202 +1099,6 @@ impl Network {
         self.stats.cycles += 1;
         self.now = now + 1;
         self.scratch = s;
-    }
-
-    /// The sharded tick (`RC_SHARDS > 1`), in three phases:
-    ///
-    /// * **Phase A (serial):** the shared prologue — scheduled fault
-    ///   transitions, due retransmissions, the dense fault pre-pass.
-    ///   Everything here is order-sensitive (trace events, RNG draws,
-    ///   cross-shard NI mutation) and cheap, so it stays serial.
-    /// * **Phase B (parallel):** each shard's NI and router loops run on
-    ///   their own scoped worker thread ([`shard_phase_b`]); shard 0 runs
-    ///   inline on the calling thread. Workers write only their own
-    ///   disjoint state slices — a tile's router is always in the tile's
-    ///   shard — and stage every order-sensitive effect.
-    /// * **Phase C (serial):** the merge replays the staged effects in
-    ///   fixed shard-then-index order: per-NI trace buffers, delivery
-    ///   statistics, injections, reroutes, retry scheduling, delivery
-    ///   bookkeeping; then per-router trace buffers and
-    ///   [`Network::route_outgoing`] (boundary flits/credits/undos plus
-    ///   the link-fault RNG draws).
-    ///
-    /// Because phases A and C execute the serial path's order-sensitive
-    /// operations in the serial path's exact order, and phase B's work is
-    /// order-insensitive by construction, the result is byte-identical to
-    /// the serial tick at any shard count (DESIGN.md §13).
-    fn tick_sharded(&mut self) {
-        let now = self.now;
-        let ports = self.cfg.topology.ports();
-        let topology = self.cfg.topology;
-        let event = self.kernel == KernelMode::Event;
-        let plan = self
-            .shard_plan
-            .clone()
-            .expect("sharded tick without a plan");
-        let mut s = std::mem::take(&mut self.scratch);
-        let mut locals = std::mem::take(&mut self.shard_locals);
-
-        // Phase A.
-        self.tick_prologue(now, &mut s.stuck);
-
-        // Phase B.
-        {
-            let topo = &self.topo;
-            let cong = &self.congestion;
-            let stuck = &s.stuck[..];
-            let mut works: Vec<ShardWork<'_>> = Vec::with_capacity(plan.shards());
-            let mut nis = &mut self.nis[..];
-            let mut ni_inboxes = &mut self.ni_inboxes[..];
-            let mut ni_wake = self.ni_wake.as_mut_slice();
-            let mut routers = &mut self.routers[..];
-            let mut router_inboxes = &mut self.router_inboxes[..];
-            let mut router_wake = self.router_wake.as_mut_slice();
-            let mut locals_rest = &mut locals[..];
-            for sh in 0..plan.shards() {
-                let tiles = plan.tile_range(sh);
-                let rr = plan.router_range(sh);
-                let (a, rest) = std::mem::take(&mut nis).split_at_mut(tiles.len());
-                nis = rest;
-                let (b, rest) = std::mem::take(&mut ni_inboxes).split_at_mut(tiles.len());
-                ni_inboxes = rest;
-                let (c, rest) = std::mem::take(&mut ni_wake).split_at_mut(tiles.len());
-                ni_wake = rest;
-                let (d, rest) = std::mem::take(&mut routers).split_at_mut(rr.len());
-                routers = rest;
-                let (e, rest) = std::mem::take(&mut router_inboxes).split_at_mut(rr.len());
-                router_inboxes = rest;
-                let (f, rest) = std::mem::take(&mut router_wake).split_at_mut(rr.len());
-                router_wake = rest;
-                let (l, rest) = std::mem::take(&mut locals_rest).split_at_mut(1);
-                locals_rest = rest;
-                works.push(ShardWork {
-                    tile0: tiles.start,
-                    router0: rr.start,
-                    nis: a,
-                    ni_inboxes: b,
-                    ni_wake: c,
-                    routers: d,
-                    router_inboxes: e,
-                    router_wake: f,
-                    local: &mut l[0],
-                });
-            }
-            std::thread::scope(|scope| {
-                let mut works = works.into_iter();
-                let mut first = works.next().expect("plans have at least one shard");
-                let handles: Vec<_> = works
-                    .map(|mut w| {
-                        scope.spawn(move || {
-                            shard_phase_b(&mut w, now, event, topology, topo, cong, stuck, ports);
-                        })
-                    })
-                    .collect();
-                shard_phase_b(&mut first, now, event, topology, topo, cong, stuck, ports);
-                for h in handles {
-                    h.join().expect("shard worker panicked");
-                }
-            });
-        }
-
-        // Phase C.
-        let tracing = self.sink.is_enabled();
-        let mut moved = false;
-        for l in &locals {
-            moved |= l.moved;
-        }
-        // NI effects first (tile order), matching the serial NI-then-router
-        // loop order.
-        for (sh, local) in locals.iter_mut().enumerate() {
-            let ShardLocal {
-                ni_merge,
-                delivered,
-                corrupt,
-                ..
-            } = local;
-            let mut deliveries = delivered.drain(..);
-            let mut entries = ni_merge.iter().peekable();
-            let mut corrupt_at = 0;
-            for tile in plan.tile_range(sh) {
-                if tracing {
-                    for ev in self.ni_stage[tile].drain() {
-                        self.sink.emit(move || ev);
-                    }
-                }
-                let Some(e) = entries.next_if(|e| e.tile == tile) else {
-                    continue;
-                };
-                let mut batch: Vec<Delivered> = deliveries.by_ref().take(e.n_delivered).collect();
-                for d in &batch {
-                    self.stats.record_delivery(
-                        d.class,
-                        d.injected_at - d.created_at,
-                        d.delivered_at - d.injected_at,
-                    );
-                }
-                if let Some((class, len)) = e.injection {
-                    self.stats.record_injection(class, len);
-                }
-                if e.reroutes > 0 {
-                    if let Some(fs) = self.faults.as_mut() {
-                        fs.stats.packets_rerouted += e.reroutes;
-                    }
-                }
-                if e.congestion_reroutes > 0 {
-                    if let Some(ad) = self.adaptive.as_mut() {
-                        ad.report.congestion_detours += e.congestion_reroutes;
-                    }
-                }
-                for k in 0..e.n_corrupt {
-                    self.schedule_retry(corrupt[corrupt_at + k], now);
-                }
-                corrupt_at += e.n_corrupt;
-                for mut d in batch.drain(..) {
-                    let retries = self.note_delivered(&mut d);
-                    self.sink.emit(|| rcsim_trace::TraceEvent {
-                        cycle: now,
-                        kind: EventKind::NiEject {
-                            packet: d.packet.0,
-                            node: d.dst.0,
-                            rode_circuit: d.rode_circuit,
-                            retries,
-                        },
-                    });
-                    self.delivered[tile].push(d);
-                }
-            }
-        }
-        // Router effects (router order): staged trace events, then the
-        // outgoing batch — `route_outgoing` performs the boundary
-        // wake/enqueue and every link-fault RNG draw, in the serial order.
-        for (sh, local) in locals.iter_mut().enumerate() {
-            let ShardLocal {
-                router_merge,
-                outgoing,
-                ..
-            } = local;
-            let mut entries = router_merge.iter().peekable();
-            let mut outgoing = outgoing.drain(..);
-            for i in plan.router_range(sh) {
-                if tracing {
-                    for ev in self.router_stage[i].drain() {
-                        self.sink.emit(move || ev);
-                    }
-                }
-                let Some(&(_, cnt)) = entries.next_if(|&&(r, _)| r == i) else {
-                    continue;
-                };
-                self.route_outgoing(NodeId(i as u16), outgoing.by_ref().take(cnt));
-            }
-        }
-
-        if moved {
-            self.last_progress = now;
-        }
-        self.stats.cycles += 1;
-        self.now = now + 1;
-        self.scratch = s;
-        self.shard_locals = locals;
     }
 
     /// Watchdog bookkeeping at delivery: closes the packet's outstanding
@@ -2193,9 +1726,8 @@ impl Network {
     }
 
     /// Captures every piece of dynamic network state. Must be taken
-    /// between ticks: the per-tick scratch and shard staging buffers are
-    /// empty there, which is what makes the snapshot identical across
-    /// `RC_KERNEL` and `RC_SHARDS` settings.
+    /// between ticks: the per-tick scratch is empty there, which is what
+    /// makes the snapshot identical under either `RC_KERNEL` setting.
     pub fn snapshot(&self) -> NetworkSnapshot {
         let mut outstanding: Vec<(PacketId, Outstanding)> = self
             .outstanding
@@ -2240,7 +1772,7 @@ impl Network {
     /// [`Network::snapshot`]. `self` must have been freshly constructed
     /// from the *same* configuration (topology, mechanism, faults,
     /// ingress, adaptive) that produced the snapshot: configuration-
-    /// derived objects — routing, the fault schedule, shard plans, trace
+    /// derived objects — routing, the fault schedule, region plans, trace
     /// sinks — are kept and only dynamic state is replaced. Mismatched
     /// shapes panic rather than limp along.
     pub fn restore(&mut self, snap: &NetworkSnapshot) {
@@ -2298,7 +1830,7 @@ impl Network {
 /// [`Network::snapshot`] and re-applied with [`Network::restore`] onto a
 /// freshly constructed, identically-configured network (DESIGN.md §15).
 /// Configuration-derived objects (routing tables, the fault schedule,
-/// shard plans, trace sinks, kernel mode) are deliberately excluded: they
+/// region plans, trace sinks, kernel mode) are deliberately excluded: they
 /// are rebuilt from the simulation config on resume, and only cursor and
 /// ownership state travels. Hash-map state is stored as sorted vectors so
 /// the serialized form is deterministic.
@@ -2339,7 +1871,7 @@ struct AdaptiveSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rcsim_core::{MechanismConfig, Mesh, MessageClass};
+    use rcsim_core::{MechanismConfig, Mesh, MessageClass, Topology};
 
     fn net(mechanism: MechanismConfig) -> Network {
         let mesh = Mesh::new(4, 4).unwrap();
@@ -2449,7 +1981,7 @@ mod tests {
     /// The incremental router bookkeeping (live-VC sets, buffered and
     /// retry counts) and the inbox wake cycles match a from-scratch
     /// recount after every tick: every mechanism on every topology shape
-    /// (incl. an 8-port concentrated mesh), serial and sharded, with
+    /// (incl. an 8-port concentrated mesh), under both kernels, with
     /// random request/echo traffic, a stuck input port and a dead link
     /// that heals.
     #[test]
@@ -2490,7 +2022,11 @@ mod tests {
                 };
                 let cfg = NocConfig::paper_baseline(topology, mechanism);
                 let mut net = Network::with_faults(cfg, faults).unwrap();
-                net.set_shards(1 + (t + m) % 2);
+                net.set_kernel(if (t + m) % 2 == 0 {
+                    KernelMode::Dense
+                } else {
+                    KernelMode::Event
+                });
                 let tiles = topology.nodes() as u16;
                 let mut rng = StdRng::seed_from_u64(0xB00C + (t * 4 + m) as u64);
                 let mut block = 0u64;

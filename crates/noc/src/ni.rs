@@ -97,12 +97,8 @@ pub(crate) struct NiOut {
     /// The statistics-counted injection this tick started, if any (class
     /// and flit count of the head emitted with `count_injection` set). At
     /// most one per tick — an NI injects at most one flit per cycle. The
-    /// network replays it into [`NocStats::record_injection`]: keeping
-    /// *all* NI statistics out of [`Ni::tick`] makes the tick body safe to
-    /// run on a shard worker, with the serial merge replaying deliveries
-    /// and injections in fixed tile order so the f64 accumulation order —
-    /// and therefore every derived statistic — is byte-identical to the
-    /// serial path.
+    /// network records it with [`NocStats::record_injection`], so all NI
+    /// statistics are kept in one place, the network's tick.
     pub injection: Option<(MessageClass, u32)>,
 }
 
@@ -544,10 +540,9 @@ impl Ni {
     /// into the router's local port (circuit streams have priority).
     /// Inputs are drained in place so the caller can reuse the buffers.
     ///
-    /// Deliberately statistics-free: deliveries and the counted injection
-    /// are surfaced through `out` and replayed into [`NocStats`] by the
-    /// network, in tile order, so the tick body can run on a shard worker
-    /// (see [`NiOut::injection`]).
+    /// Statistics-free: deliveries and the counted injection are surfaced
+    /// through `out` and recorded into [`NocStats`] by the network (see
+    /// [`NiOut::injection`]).
     pub(crate) fn tick(
         &mut self,
         now: Cycle,

@@ -834,6 +834,17 @@ impl L2Bank {
         self.array.peek(block).map(|l| (l.owner, l.sharers))
     }
 
+    /// While `block`'s line waits for the ack of a forwarded request, the
+    /// node that sent the request; `None` otherwise. For invariant checks:
+    /// the old owner serves that node directly, so it may hold the line
+    /// before its ack lets the directory record it.
+    pub fn pending_requestor(&self, block: u64) -> Option<NodeId> {
+        match self.array.peek(block)?.busy? {
+            Busy::WaitFwdAck { requestor, .. } => Some(requestor),
+            _ => None,
+        }
+    }
+
     /// The full dynamic state, for checkpointing (the configuration and
     /// trace sink are rebuilt by the caller on resume).
     pub fn snapshot(&self) -> L2Snapshot {

@@ -9,8 +9,7 @@
 //! the `checkpoint_diff` differential matrix — is byte identity:
 //! `run(0..T)` and `run(0..k) + save + restore + run(k..T)` produce the
 //! same [`RunResult`] and the same trace stream, for any `k`, under every
-//! kernel, shard count, topology, fault plan, open-loop and adaptive
-//! configuration.
+//! kernel, topology, fault plan, open-loop and adaptive configuration.
 //!
 //! What a snapshot holds is the *dynamic* state only: router pipelines,
 //! VC buffers and credits, circuit tables, in-flight flits, NI queues and
@@ -147,6 +146,10 @@ pub struct SimSession {
 impl SimSession {
     /// Opens a fresh session at cycle 0.
     ///
+    /// The trailing `_shards` argument is ignored. It exists only so the
+    /// host-speed benchmark harness (`perfbench/`), which still passes a
+    /// shard count, keeps compiling; it goes at the next benchmark change.
+    ///
     /// # Errors
     ///
     /// Returns [`SimError`] for unknown workloads or invalid
@@ -155,9 +158,9 @@ impl SimSession {
         cfg: &SimConfig,
         trace: Option<&TraceConfig>,
         kernel: KernelMode,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, SimError> {
-        let mut chip = build_chip(cfg, kernel, shards)?;
+        let mut chip = build_chip(cfg, kernel)?;
         let sink = match trace {
             Some(t) => {
                 let sink = TraceSink::ring(t.capacity);
@@ -178,10 +181,11 @@ impl SimSession {
 
     /// Rebuilds a session from a [`SessionSnapshot`]: constructs the chip
     /// from the saved config by the same code path as a fresh run, then
-    /// overwrites its dynamic state. The kernel and shard count are *not*
-    /// part of the snapshot — both are pure host-performance knobs, so a
-    /// run checkpointed under one combination may resume under any other
-    /// with byte-identical results.
+    /// overwrites its dynamic state. The kernel is *not* part of the
+    /// snapshot — it is a pure host-performance knob, so a run
+    /// checkpointed under one kernel may resume under the other with
+    /// byte-identical results. The trailing `_shards` argument is ignored,
+    /// as in [`SimSession::new`].
     ///
     /// # Errors
     ///
@@ -190,9 +194,9 @@ impl SimSession {
     pub fn resume(
         snap: &SessionSnapshot,
         kernel: KernelMode,
-        shards: usize,
+        _shards: usize,
     ) -> Result<Self, SimError> {
-        let mut session = Self::new(&snap.config, snap.trace.as_ref(), kernel, shards)?;
+        let mut session = Self::new(&snap.config, snap.trace.as_ref(), kernel, 1)?;
         session.chip.restore(&snap.chip);
         session.sink.restore(
             snap.trace_events
@@ -338,7 +342,6 @@ impl SimSession {
 pub fn run_sim_resumable(
     cfg: &SimConfig,
     kernel: KernelMode,
-    shards: usize,
     dir: &Path,
     interval: u64,
 ) -> Result<RunResult, SimError> {
@@ -353,9 +356,9 @@ pub fn run_sim_resumable(
                 snap.pos(),
                 path.display()
             );
-            SimSession::resume(&snap, kernel, shards)?
+            SimSession::resume(&snap, kernel, 1)?
         }
-        None => SimSession::new(cfg, None, kernel, shards)?,
+        None => SimSession::new(cfg, None, kernel, 1)?,
     };
     let total = session.total();
     while session.pos() < total {

@@ -261,21 +261,6 @@ impl Chip {
         self.kernel
     }
 
-    /// Selects the network's in-tick shard count (see
-    /// [`Network::set_shards`](rcsim_noc::Network::set_shards)): `1` is
-    /// the serial path, `n > 1` ticks `n` contiguous router domains on
-    /// `n` worker threads per cycle with byte-identical results. The
-    /// cache hierarchy itself stays serial — the network tick dominates
-    /// the cycle loop.
-    pub fn set_shards(&mut self, shards: usize) {
-        self.net.set_shards(shards);
-    }
-
-    /// The network's active in-tick shard count.
-    pub fn shards(&self) -> usize {
-        self.net.shards()
-    }
-
     /// Installs a trace sink, fanned out to the network (NIs and routers)
     /// and every cache so the whole chip records into one shared event
     /// log. Pass [`TraceSink::Disabled`] to turn tracing back off.
@@ -568,11 +553,11 @@ impl Chip {
 
     /// The complete dynamic state of the chip, for checkpointing. Call
     /// at a tick boundary (between [`Chip::tick`] calls): mid-tick
-    /// scratch is empty there, so the snapshot is identical under every
-    /// kernel and shard count. Configuration (topology, protocol
-    /// parameters, mechanism, kernel, trace wiring) is deliberately
-    /// excluded — a restore target is rebuilt from the same `SimConfig`
-    /// and the snapshot overwrites only what evolves.
+    /// scratch is empty there, so the snapshot is identical under either
+    /// kernel. Configuration (topology, protocol parameters, mechanism,
+    /// kernel, trace wiring) is deliberately excluded — a restore target
+    /// is rebuilt from the same `SimConfig` and the snapshot overwrites
+    /// only what evolves.
     pub fn snapshot(&self) -> ChipSnapshot {
         let mut mcs: Vec<(usize, MemSnapshot)> =
             self.mcs.iter().map(|(&i, mc)| (i, mc.snapshot())).collect();
@@ -664,12 +649,14 @@ impl Chip {
                 ));
             }
             // Every actual holder must be known to the directory (the
-            // directory may track stale sharers, never the reverse).
-            let home = self.proto_cfg.home(&self.topology, *block);
-            if let Some((owner, sharers)) = self.l2s[home.index()].probe(*block) {
+            // directory may track stale sharers, never the reverse). The
+            // requestor of a forwarded transfer counts as known while the
+            // line waits for its ack: the old owner already served it.
+            let home = &self.l2s[self.proto_cfg.home(&self.topology, *block).index()];
+            if let Some((owner, sharers)) = home.probe(*block) {
                 for (n, w, _) in hs {
                     let known = owner == Some(*n) || sharers & (1u64 << n.index()) != 0;
-                    if !known && *w {
+                    if *w && !known && home.pending_requestor(*block) != Some(*n) {
                         violations.push(format!(
                             "block {block:#x}: writable holder {n} unknown to the directory"
                         ));

@@ -122,7 +122,7 @@ impl Core {
     }
 
     /// The earliest cycle at which [`Core::poll`] can do anything but
-    /// return [`CoreAction::Idle`] without mutating state. While blocked
+    /// return `CoreAction::Idle` without mutating state. While blocked
     /// on a miss this is `Cycle::MAX` — only [`Core::miss_done`] (driven
     /// by a network delivery) can unblock the core. The event kernel
     /// skips polling cores whose `ready_at` lies in the future; such a

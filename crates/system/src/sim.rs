@@ -2,7 +2,7 @@
 
 use crate::chip::Chip;
 use crate::report::RunResult;
-use rcsim_core::{shards_from_env, AdaptiveConfig, KernelMode, MechanismConfig, TopologySpec};
+use rcsim_core::{AdaptiveConfig, KernelMode, MechanismConfig, TopologySpec};
 use rcsim_noc::{FaultConfig, HealthReport, WatchdogConfig};
 use rcsim_power::{area_savings, EnergyModel};
 use rcsim_protocol::ProtocolConfig;
@@ -167,37 +167,19 @@ pub struct TraceReport {
 ///
 /// Returns [`SimError`] for unknown workloads or invalid configurations.
 pub fn run_sim(cfg: &SimConfig) -> Result<RunResult, SimError> {
-    run_sim_with(cfg, KernelMode::from_env(), shards_from_env())
+    run_sim_with(cfg, KernelMode::from_env())
 }
 
 /// [`run_sim`] with an explicit simulation kernel, overriding the
-/// `RC_KERNEL` environment knob (the shard count still follows
-/// `RC_SHARDS`). Both kernels produce byte-identical results (see the
-/// `kernel_diff` test suite); `Event` skips quiescent tiles and is the
-/// faster default.
+/// `RC_KERNEL` environment knob. Both kernels produce byte-identical
+/// results (see the `kernel_diff` test suite); `Event` skips quiescent
+/// tiles and is the faster default.
 ///
 /// # Errors
 ///
 /// Returns [`SimError`] for unknown workloads or invalid configurations.
-pub fn run_sim_with_kernel(cfg: &SimConfig, kernel: KernelMode) -> Result<RunResult, SimError> {
-    run_sim_with(cfg, kernel, shards_from_env())
-}
-
-/// [`run_sim`] with an explicit kernel *and* in-tick shard count,
-/// overriding both the `RC_KERNEL` and `RC_SHARDS` environment knobs.
-/// Every (kernel, shards) combination produces byte-identical results —
-/// the `kernel_diff` differential matrix enforces it — so both arguments
-/// are pure host-performance knobs.
-///
-/// # Errors
-///
-/// Returns [`SimError`] for unknown workloads or invalid configurations.
-pub fn run_sim_with(
-    cfg: &SimConfig,
-    kernel: KernelMode,
-    shards: usize,
-) -> Result<RunResult, SimError> {
-    run_sim_inner(cfg, None, kernel, shards).map(|(result, _)| result)
+pub fn run_sim_with(cfg: &SimConfig, kernel: KernelMode) -> Result<RunResult, SimError> {
+    run_sim_inner(cfg, None, kernel).map(|(result, _)| result)
 }
 
 /// [`run_sim`] with event tracing: identical simulation (the trace layer
@@ -212,27 +194,12 @@ pub fn run_sim_traced(
     cfg: &SimConfig,
     trace: &TraceConfig,
 ) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_traced_with(cfg, trace, KernelMode::from_env(), shards_from_env())
+    run_sim_traced_with(cfg, trace, KernelMode::from_env())
 }
 
 /// [`run_sim_traced`] with an explicit simulation kernel, overriding the
-/// `RC_KERNEL` environment knob (the shard count still follows
-/// `RC_SHARDS`).
-///
-/// # Errors
-///
-/// Returns [`SimError`] for unknown workloads or invalid configurations.
-pub fn run_sim_traced_with_kernel(
-    cfg: &SimConfig,
-    trace: &TraceConfig,
-    kernel: KernelMode,
-) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_traced_with(cfg, trace, kernel, shards_from_env())
-}
-
-/// [`run_sim_traced`] with an explicit kernel and in-tick shard count,
-/// overriding both environment knobs. The trace stream — sequence, not
-/// just multiset — is required to be identical at every shard count.
+/// `RC_KERNEL` environment knob. The trace stream — sequence, not just
+/// multiset — is identical under both kernels.
 ///
 /// # Errors
 ///
@@ -241,9 +208,8 @@ pub fn run_sim_traced_with(
     cfg: &SimConfig,
     trace: &TraceConfig,
     kernel: KernelMode,
-    shards: usize,
 ) -> Result<(RunResult, TraceReport), SimError> {
-    run_sim_inner(cfg, Some(trace), kernel, shards).map(|(result, report)| {
+    run_sim_inner(cfg, Some(trace), kernel).map(|(result, report)| {
         (
             result,
             report.expect("tracing was requested, so a report exists"),
@@ -255,9 +221,8 @@ fn run_sim_inner(
     cfg: &SimConfig,
     trace: Option<&TraceConfig>,
     kernel: KernelMode,
-    shards: usize,
 ) -> Result<(RunResult, Option<TraceReport>), SimError> {
-    let mut session = crate::checkpoint::SimSession::new(cfg, trace, kernel, shards)?;
+    let mut session = crate::checkpoint::SimSession::new(cfg, trace, kernel, 1)?;
     let total = session.total();
     session.run_until(total)?;
     Ok(session.finish())
@@ -267,11 +232,7 @@ fn run_sim_inner(
 /// adaptive policies) but not yet ticked. Shared by [`run_sim`] and the
 /// checkpoint layer so a restore target is constructed by exactly the
 /// same code path as a fresh run.
-pub(crate) fn build_chip(
-    cfg: &SimConfig,
-    kernel: KernelMode,
-    shards: usize,
-) -> Result<Chip, SimError> {
+pub(crate) fn build_chip(cfg: &SimConfig, kernel: KernelMode) -> Result<Chip, SimError> {
     // The spec picks the router grid: square for the paper's 16/64-core
     // chips, the most nearly square rectangle otherwise (scalability
     // sweeps at 32, 48, … cores).
@@ -298,7 +259,6 @@ pub(crate) fn build_chip(
         cfg.watchdog,
     )?;
     chip.set_kernel(kernel);
-    chip.set_shards(shards);
     if let Some(ol) = &cfg.open_loop {
         chip.enable_open_loop(ol.clone(), cfg.seed);
     }

@@ -1,17 +1,17 @@
 //! Differential and edge-case layer for the adaptive runtime policies
 //! (DESIGN.md §14).
 //!
-//! Two obligations, mirroring the `kernel_diff` matrix:
+//! Two obligations, mirroring the `kernel_diff` suite:
 //!
 //! * **Off-path**: with `adaptive: None` — the default — the policy
 //!   hooks must be invisible. Serialized configs must not mention the
 //!   field (cache keys and goldens predate it), and full runs must stay
-//!   byte-identical across the (kernel × shard) matrix on mesh and
-//!   torus, trace streams included.
+//!   byte-identical across both kernels on mesh and torus, trace streams
+//!   included.
 //! * **On-path**: with the controller enabled the simulation is still a
 //!   deterministic function of the config — bit-reproducible across
-//!   repeated runs and invariant to `RC_KERNEL` and `RC_SHARDS`, which
-//!   is what pins the controller to the serial tick prologue.
+//!   repeated runs and invariant to `RC_KERNEL`, which is what pins the
+//!   controller to the tick prologue.
 //!
 //! Plus the epoch edge cases: decision epochs that do not divide the run
 //! length, all-idle regions (sampling must not perturb), a fault onset
@@ -56,35 +56,26 @@ fn trace_cfg() -> TraceConfig {
     }
 }
 
-/// Runs `cfg` traced across the (kernel × shards) matrix and asserts
-/// every serialized report *and* trace-event sequence is identical to
-/// the dense serial reference. Returns the reference run.
-fn assert_traced_matrix_agrees(
+/// Runs `cfg` traced under both kernels and asserts the event kernel's
+/// serialized report *and* trace-event sequence are identical to the
+/// dense reference. Returns the reference run.
+fn assert_traced_kernels_agree(
     cfg: &SimConfig,
     label: &str,
 ) -> (rcsim_system::RunResult, Vec<rcsim_trace::TraceEvent>) {
     let trace = trace_cfg();
     let (reference, reference_tr) =
-        run_sim_traced_with(cfg, &trace, KernelMode::Dense, 1).expect("dense serial run");
-    let reference_json = serde_json::to_string(&reference).expect("serialize reference");
-    for kernel in [KernelMode::Dense, KernelMode::Event] {
-        for shards in [1usize, 4] {
-            if kernel == KernelMode::Dense && shards == 1 {
-                continue;
-            }
-            let (run, tr) = run_sim_traced_with(cfg, &trace, kernel, shards).expect("matrix run");
-            assert_eq!(
-                reference_json,
-                serde_json::to_string(&run).expect("serialize run"),
-                "{kernel:?} × {shards} shards diverged from the dense serial \
-                 reference on {label}"
-            );
-            assert_eq!(
-                reference_tr.events, tr.events,
-                "trace-event sequences diverged at {kernel:?} × {shards} on {label}"
-            );
-        }
-    }
+        run_sim_traced_with(cfg, &trace, KernelMode::Dense).expect("dense run");
+    let (run, tr) = run_sim_traced_with(cfg, &trace, KernelMode::Event).expect("event run");
+    assert_eq!(
+        serde_json::to_string(&reference).expect("serialize reference"),
+        serde_json::to_string(&run).expect("serialize run"),
+        "the event kernel diverged from the dense reference on {label}"
+    );
+    assert_eq!(
+        reference_tr.events, tr.events,
+        "trace-event sequences diverged between the kernels on {label}"
+    );
     (reference, reference_tr.events)
 }
 
@@ -112,14 +103,14 @@ fn serialized_config_omits_adaptive_when_off() {
     assert_eq!(round, on, "adaptive config round-trip changed the value");
 }
 
-/// Adaptive absent: the full traced (kernel × shards) matrix must stay
+/// Adaptive absent: traced runs under both kernels must stay
 /// byte-identical on mesh and torus with the policy hooks compiled in.
 #[test]
-fn adaptive_off_matrix_is_byte_identical() {
+fn adaptive_off_kernels_are_byte_identical() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus] {
         let cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
-        let (run, events) = assert_traced_matrix_agrees(
+        let (run, events) = assert_traced_kernels_agree(
             &cfg,
             &format!("adaptive off, complete @ 16 cores on {}", spec.label()),
         );
@@ -135,12 +126,11 @@ fn adaptive_off_matrix_is_byte_identical() {
     }
 }
 
-/// Adaptive on: the run is bit-reproducible and (kernel × shard)
-/// invariant, the controller actually fires (decisions, switches in both
-/// directions, suppressed circuits), and every switch appears in the
-/// trace stream.
+/// Adaptive on: the run is bit-reproducible and kernel-invariant, the
+/// controller actually fires (decisions, switches in both directions,
+/// suppressed circuits), and every switch appears in the trace stream.
 #[test]
-fn adaptive_on_is_reproducible_and_matrix_invariant() {
+fn adaptive_on_is_reproducible_and_kernel_invariant() {
     use rcsim_core::TopologySpec;
     for spec in [TopologySpec::Mesh, TopologySpec::Torus] {
         let mut cfg = quick(16, MechanismConfig::complete()).with_topology(spec);
@@ -150,9 +140,9 @@ fn adaptive_on_is_reproducible_and_matrix_invariant() {
         cfg.warmup_cycles = 0;
         cfg.adaptive = Some(aggressive());
         let label = format!("adaptive on, complete @ 16 cores on {}", spec.label());
-        let (run, events) = assert_traced_matrix_agrees(&cfg, &label);
+        let (run, events) = assert_traced_kernels_agree(&cfg, &label);
         let (again, again_events) =
-            run_sim_traced_with(&cfg, &trace_cfg(), KernelMode::Dense, 1).expect("repeat run");
+            run_sim_traced_with(&cfg, &trace_cfg(), KernelMode::Dense).expect("repeat run");
         assert_eq!(
             serde_json::to_string(&run).unwrap(),
             serde_json::to_string(&again).unwrap(),
@@ -179,16 +169,16 @@ fn adaptive_on_is_reproducible_and_matrix_invariant() {
 
 /// A decision epoch that does not divide the warm-up or measure length:
 /// the controller must still fire on every multiple inside the run and
-/// the matrix must stay invariant. 2 500 + 500 cycles with a 33-cycle
+/// both kernels must agree. 2 500 + 500 cycles with a 33-cycle
 /// epoch puts decisions at awkward offsets relative to both boundaries.
 #[test]
-fn epoch_not_dividing_run_length_is_matrix_invariant() {
+fn epoch_not_dividing_run_length_is_kernel_invariant() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.adaptive = Some(AdaptiveConfig {
         decision_epoch: 33,
         ..aggressive()
     });
-    let (run, _) = assert_traced_matrix_agrees(&cfg, "33-cycle epoch");
+    let (run, _) = assert_traced_kernels_agree(&cfg, "33-cycle epoch");
     // Decisions start at the first epoch boundary and continue through
     // warm-up and measure: 3 000 / 33 = 90 full epochs.
     assert_eq!(run.health.adaptive.decisions, 3_000 / 33);
@@ -207,8 +197,8 @@ fn all_idle_regions_never_switch_and_never_perturb() {
         hot_exit: u64::MAX / 2,
         ..aggressive()
     });
-    let off_run = run_sim_with(&off, KernelMode::Event, 1).expect("off run");
-    let on_run = run_sim_with(&on, KernelMode::Event, 1).expect("on run");
+    let off_run = run_sim_with(&off, KernelMode::Event).expect("off run");
+    let on_run = run_sim_with(&on, KernelMode::Event).expect("on run");
     let ad = &on_run.health.adaptive;
     assert!(ad.decisions > 0, "controller never sampled");
     assert_eq!(ad.hot_switches, 0);
@@ -226,9 +216,9 @@ fn all_idle_regions_never_switch_and_never_perturb() {
 
 /// A fault onset landing exactly on a decision tick: the fault pre-pass
 /// (teardown, purge, reroute) and the policy decision run back to back
-/// in the same serial prologue, and the matrix must not notice.
+/// in the same tick prologue, and the kernels must still agree.
 #[test]
-fn fault_onset_on_a_decision_tick_is_matrix_invariant() {
+fn fault_onset_on_a_decision_tick_is_kernel_invariant() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.adaptive = Some(aggressive());
     // Epoch 40 ⇒ decisions at 40, 80, …, 2 000, … — the link dies at
@@ -239,7 +229,7 @@ fn fault_onset_on_a_decision_tick_is_matrix_invariant() {
         at: 2_000,
         duration: None,
     }];
-    let (run, _) = assert_traced_matrix_agrees(&cfg, "fault onset on decision tick");
+    let (run, _) = assert_traced_kernels_agree(&cfg, "fault onset on decision tick");
     assert!(run.health.adaptive.decisions > 0);
     assert_eq!(run.health.dead_links.len(), 1, "link never died");
 }
@@ -247,14 +237,14 @@ fn fault_onset_on_a_decision_tick_is_matrix_invariant() {
 /// Decisions spanning the warm-up/measure boundary: the stats reset at
 /// the end of warm-up zeroes the traffic counters but must not disturb
 /// the controller (mode, dwell clocks, decision phase) — the decision
-/// count covers the whole run and the matrix stays invariant.
+/// count covers the whole run and the kernels still agree.
 #[test]
 fn warmup_drain_keeps_controller_state_across_stats_reset() {
     let mut cfg = quick(16, MechanismConfig::complete());
     cfg.warmup_cycles = 1_000;
     cfg.measure_cycles = 2_000;
     cfg.adaptive = Some(aggressive());
-    let (run, _) = assert_traced_matrix_agrees(&cfg, "decisions across warm-up reset");
+    let (run, _) = assert_traced_kernels_agree(&cfg, "decisions across warm-up reset");
     // Ticks cover t = 0 … 2 999, so decisions land at every multiple of
     // 40 up to 2 960: ⌊2 999 / 40⌋ = 74 in total, the first 24 during
     // warm-up — none lost to the reset.

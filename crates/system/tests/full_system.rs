@@ -91,6 +91,30 @@ fn coherent_under_every_workload() {
     }
 }
 
+/// The checker must not flag an ownership transfer in flight: after the
+/// home forwards a GetX to the old owner, the requestor holds a writable
+/// copy before its ack reaches the directory. On this canneal-64 run with
+/// the paper's caches such a window opens at cycle 9 734 (block
+/// `0x200000000`, holder `n23`); every cycle around it must check clean.
+#[test]
+fn ownership_transfer_in_flight_is_not_a_violation() {
+    let cfg = SimConfig {
+        small_caches: false,
+        ..SimConfig::quick(64, MechanismConfig::complete_noack(), "canneal")
+    };
+    let mut session = SimSession::new(&cfg, None, KernelMode::Event, 1).unwrap();
+    session.run_until(9_700).unwrap();
+    while session.pos() < 9_800 {
+        let violations = session.chip().coherence_violations();
+        assert!(
+            violations.is_empty(),
+            "cycle {}: {violations:?}",
+            session.pos()
+        );
+        session.run_until(session.pos() + 1).unwrap();
+    }
+}
+
 #[test]
 fn table1_shape_requests_vs_replies() {
     // Roughly half the messages are replies (Table 1: 47% / 53%), and

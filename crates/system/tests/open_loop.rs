@@ -6,8 +6,8 @@
 
 use rcsim_core::MechanismConfig;
 use rcsim_system::{
-    run_sim, run_sim_traced_with_kernel, run_sim_with_kernel, ArrivalProcess, KernelMode,
-    OpenLoopConfig, RunResult, SimConfig, TraceConfig,
+    run_sim, run_sim_traced_with, run_sim_with, ArrivalProcess, KernelMode, OpenLoopConfig,
+    RunResult, SimConfig, TraceConfig,
 };
 use rcsim_trace::EventKind;
 
@@ -104,8 +104,8 @@ fn kernels_agree_on_open_loop_runs() {
     // included) must be byte-identical across kernels.
     for (rate, admission) in [(0.05, true), (0.4, true), (0.4, false)] {
         let cfg = overload_cfg(rate, admission);
-        let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).expect("dense");
-        let event = run_sim_with_kernel(&cfg, KernelMode::Event).expect("event");
+        let dense = run_sim_with(&cfg, KernelMode::Dense).expect("dense");
+        let event = run_sim_with(&cfg, KernelMode::Event).expect("event");
         assert_eq!(
             serde_json::to_string(&dense).unwrap(),
             serde_json::to_string(&event).unwrap(),
@@ -146,7 +146,7 @@ fn ingress_decisions_are_traced_never_silent() {
         epoch: 0,
     };
     let cfg = overload_cfg(0.6, true);
-    let (r, tr) = run_sim_traced_with_kernel(&cfg, &trace, KernelMode::Event).expect("traced run");
+    let (r, tr) = run_sim_traced_with(&cfg, &trace, KernelMode::Event).expect("traced run");
     assert_conserved(&r, "traced overload");
     let mut admits = 0u64;
     let mut rejects = 0u64;

@@ -8,9 +8,7 @@
 //! byte-identical `RunResult`s, and repeated runs are reproducible.
 
 use rcsim_core::{MechanismConfig, NodeId};
-use rcsim_system::{
-    run_sim, run_sim_with_kernel, DeadLinkEvent, DeadRouterEvent, KernelMode, SimConfig,
-};
+use rcsim_system::{run_sim, run_sim_with, DeadLinkEvent, DeadRouterEvent, KernelMode, SimConfig};
 
 /// A 4×4 `Complete` configuration long enough for circuits to form and
 /// misses to recycle several times.
@@ -156,8 +154,8 @@ fn kernels_agree_on_degraded_topology() {
     for onset in [0, 5_000] {
         let mut cfg = complete_4x4();
         cfg.faults.dead_links = vec![dead_interior_link(onset)];
-        let dense = run_sim_with_kernel(&cfg, KernelMode::Dense).expect("dense run");
-        let event = run_sim_with_kernel(&cfg, KernelMode::Event).expect("event run");
+        let dense = run_sim_with(&cfg, KernelMode::Dense).expect("dense run");
+        let event = run_sim_with(&cfg, KernelMode::Event).expect("event run");
         assert_eq!(
             serde_json::to_string(&dense).unwrap(),
             serde_json::to_string(&event).unwrap(),

@@ -26,14 +26,6 @@ pub enum TraceSink {
     Disabled,
     /// Events go into a shared bounded ring.
     Ring(Arc<Mutex<RingLog>>),
-    /// Events go into an unbounded staging buffer, to be drained into the
-    /// real sink by whoever installed it. The sharded simulation kernel
-    /// hands each component its own buffer so workers record concurrently
-    /// without interleaving, then replays every buffer into the shared
-    /// ring in fixed component order — reproducing the serial emission
-    /// order byte for byte (DESIGN.md §13). Buffers never drop events
-    /// (they are drained every cycle, so they stay tick-sized).
-    Buffer(Arc<Mutex<Vec<TraceEvent>>>),
 }
 
 impl TraceSink {
@@ -44,11 +36,6 @@ impl TraceSink {
     /// Panics if `capacity` is zero.
     pub fn ring(capacity: usize) -> Self {
         TraceSink::Ring(Arc::new(Mutex::new(RingLog::new(capacity))))
-    }
-
-    /// A fresh unbounded staging buffer (see [`TraceSink::Buffer`]).
-    pub fn buffer() -> Self {
-        TraceSink::Buffer(Arc::new(Mutex::new(Vec::new())))
     }
 
     /// `true` when events are being recorded.
@@ -69,10 +56,6 @@ impl TraceSink {
                 let event = f();
                 ring.lock().expect("trace ring poisoned").push(event);
             }
-            TraceSink::Buffer(buf) => {
-                let event = f();
-                buf.lock().expect("trace buffer poisoned").push(event);
-            }
         }
         #[cfg(not(feature = "hooks"))]
         let _ = f;
@@ -84,7 +67,6 @@ impl TraceSink {
         match self {
             TraceSink::Disabled => Vec::new(),
             TraceSink::Ring(ring) => ring.lock().expect("trace ring poisoned").snapshot(),
-            TraceSink::Buffer(buf) => buf.lock().expect("trace buffer poisoned").clone(),
         }
     }
 
@@ -93,19 +75,11 @@ impl TraceSink {
         match self {
             TraceSink::Disabled => Vec::new(),
             TraceSink::Ring(ring) => ring.lock().expect("trace ring poisoned").drain(),
-            TraceSink::Buffer(buf) => {
-                std::mem::take(&mut *buf.lock().expect("trace buffer poisoned"))
-            }
         }
     }
 
     /// Restores the ring contents from checkpointed state (see
     /// [`RingLog::restore`]). No-op for a disabled sink.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a staging buffer: buffers are per-tick transients and
-    /// are never checkpointed.
     pub fn restore(&self, events: Vec<TraceEvent>, dropped: u64) {
         match self {
             TraceSink::Disabled => {}
@@ -113,17 +87,14 @@ impl TraceSink {
                 .lock()
                 .expect("trace ring poisoned")
                 .restore(events, dropped),
-            TraceSink::Buffer(_) => panic!("staging buffers are never checkpointed"),
         }
     }
 
-    /// Events lost to ring overflow so far (buffers are unbounded and
-    /// never drop).
+    /// Events lost to ring overflow so far.
     pub fn dropped(&self) -> u64 {
         match self {
             TraceSink::Disabled => 0,
             TraceSink::Ring(ring) => ring.lock().expect("trace ring poisoned").dropped(),
-            TraceSink::Buffer(_) => 0,
         }
     }
 }
@@ -169,19 +140,5 @@ mod tests {
     fn sink_is_send_and_sync() {
         fn assert_send_sync<T: Send + Sync>() {}
         assert_send_sync::<TraceSink>();
-    }
-
-    #[test]
-    fn buffer_sink_stages_and_drains_in_order() {
-        let sink = TraceSink::buffer();
-        assert!(sink.is_enabled());
-        sink.emit(|| ev(3));
-        sink.emit(|| ev(1));
-        let cycles: Vec<u64> = sink.snapshot().iter().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![3, 1], "buffers preserve emission order");
-        assert_eq!(sink.dropped(), 0, "buffers never drop");
-        let drained = sink.drain();
-        assert_eq!(drained.len(), 2);
-        assert!(sink.drain().is_empty(), "drain empties the buffer");
     }
 }

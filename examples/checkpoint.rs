@@ -1,6 +1,6 @@
 //! Checkpoint/restore: pause a run mid-flight, serialize the whole
 //! simulation to disk, reload it — even in a different process, under a
-//! different kernel or shard count — and finish with results
+//! different kernel — and finish with results
 //! byte-identical to a run that never stopped.
 //!
 //! ```text
@@ -33,11 +33,11 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     );
     drop(first); // simulate the process dying here
 
-    // Reload and finish. The kernel and shard count are host-performance
-    // knobs, not simulation state — resuming under the *event* kernel
-    // with 2 shards must still reproduce the dense serial run exactly.
+    // Reload and finish. The kernel is a host-performance knob, not
+    // simulation state — resuming under the *event* kernel must still
+    // reproduce the dense run exactly.
     let snap = SessionSnapshot::load(&path).expect("checkpoint readable");
-    let mut second = SimSession::resume(&snap, KernelMode::Event, 2)?;
+    let mut second = SimSession::resume(&snap, KernelMode::Event, 1)?;
     println!("resumed at cycle {} under the event kernel", second.pos());
     second.run_until(total)?;
     let (resumed, _) = second.finish();
@@ -56,7 +56,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // any compatible checkpoint it finds there, and removes it when the
     // run completes — kill this loop at any point and rerun.
     let dir = std::env::temp_dir().join("reactive-circuits-example-ckpts");
-    let via_wrapper = run_sim_resumable(&cfg, KernelMode::Dense, 1, &dir, 4_000)?;
+    let via_wrapper = run_sim_resumable(&cfg, KernelMode::Dense, &dir, 4_000)?;
     assert_eq!(serde_json::to_string(&via_wrapper)?, a);
     println!("run_sim_resumable (interval 4000): byte-identical too");
 
