@@ -101,9 +101,9 @@ fn echo(net: &mut Network, outstanding: &mut [u32]) {
 /// slot), replies echoed back over the reserved circuits, then runs to
 /// quiescence and asserts nothing deadlocked or was abandoned.
 fn run_point(topology: Topology, mechanism: MechanismConfig, rate: f64, window: u64) -> Measured {
-    // `NocConfig::va_hol_relief` defaults to on, so the sweep's drain
-    // assertion checks the *topologies*, not the legacy allocator's
-    // head-of-line shadowing wedge.
+    // The VC allocator walks every waiting VC of the winning input
+    // port in age order, so no head-of-line shadowing wedge exists and
+    // the sweep's drain assertion checks the *topologies*.
     let cfg = NocConfig::paper_baseline(topology, mechanism);
     let mut net = Network::new(cfg).expect("valid config");
     let mut rng = StdRng::seed_from_u64(0xC1C0);

@@ -239,9 +239,12 @@ pub fn next_hop_on_path(mesh: &Mesh, path: &[NodeId], at: NodeId) -> Option<Dire
 /// routers, or `None` when the degraded mesh is disconnected between the
 /// two. Breadth-first search with a fixed E/W/N/S expansion order, so the
 /// detour is fully deterministic. Detours are *not* restricted to
-/// dimension order: deadlock freedom is no longer guaranteed in theory on
-/// a degraded mesh (the watchdog catches wedges); in practice single-fault
-/// detours stay minimal-plus-two and do not close dependency cycles.
+/// dimension order, so a degraded mesh is not deadlock-free: even one
+/// dead link lets saturating traffic close a channel dependency cycle
+/// through the detour turns (pinned by the noc crate's
+/// `deadlock_diagnoser` tests). Below saturation single-fault detours
+/// drain; a wedge is caught by the watchdog and its circular wait is
+/// reported.
 pub fn route_path_healthy(
     mesh: &Mesh,
     src: NodeId,

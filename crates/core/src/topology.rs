@@ -222,11 +222,6 @@ impl Topology {
         PORT_LOCAL + self.local_slot(tile)
     }
 
-    /// `true` for injection/ejection ports.
-    pub fn is_local_port(&self, port: usize) -> bool {
-        port >= PORT_LOCAL
-    }
-
     /// Coordinate of a router on the grid.
     pub fn coord(&self, router: NodeId) -> Coord {
         let (w, _) = self.dims();

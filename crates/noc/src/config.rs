@@ -34,33 +34,6 @@ pub struct NocConfig {
     /// (torus, ring) need one so each virtual network keeps at least two
     /// allocatable VCs after the dateline split halves them into classes.
     pub extra_reply_vcs: usize,
-    /// Head-of-line relief in the VC allocator: when the oldest waiting
-    /// VC of the winning input port cannot be allocated (its virtual
-    /// network has no free output VC), consider the port's younger
-    /// waiting VCs instead of granting nothing — the oldest VC would
-    /// otherwise shadow younger VCs forever and could close a
-    /// request/reply credit cycle into a hard deadlock under sustained
-    /// bidirectional load (the wedges pinned by `tests/echo_probe.rs`).
-    /// On by default since the legacy single-candidate sweep was retired
-    /// (the goldens are regenerated accordingly). Setting it to `false`
-    /// restores the legacy oldest-only sweep — the reproducible wedge the
-    /// wait-for-graph deadlock diagnoser is regression-tested against
-    /// (see [`crate::DeadlockReport`]).
-    #[serde(default = "default_true", skip_serializing_if = "is_true")]
-    pub va_hol_relief: bool,
-}
-
-/// Serde default for [`NocConfig::va_hol_relief`] (on since the legacy
-/// allocator was retired).
-fn default_true() -> bool {
-    true
-}
-
-/// `skip_serializing_if` helper: keeps default configs byte-identical to
-/// serializations from before the flag existed (cache keys, goldens).
-#[allow(clippy::trivially_copy_pass_by_ref)]
-fn is_true(b: &bool) -> bool {
-    *b
 }
 
 impl NocConfig {
@@ -78,7 +51,6 @@ impl NocConfig {
             link_latency: 1,
             inject_overhead: 6,
             extra_reply_vcs: usize::from(topology.has_wrap()),
-            va_hol_relief: true,
         }
     }
 
@@ -278,6 +250,42 @@ mod tests {
                 assert_eq!(vl.vnet_of(vc), Vnet::Request);
             }
         }
+    }
+
+    /// The serialized Table 4 mesh config, exactly. Cache keys hash this
+    /// form, so it must not change when an option is retired.
+    const BASELINE_JSON: &str = concat!(
+        r#"{"topology":{"Mesh":{"width":4,"height":4}},"#,
+        r#""mechanism":{"mode":"Complete","timed":"Untimed","eliminate_acks":false,"#,
+        r#""reuse_circuits":false,"scrounger_borrow":false,"max_circuits_per_input":5,"#,
+        r#""undo_on_l2_miss":false},"buffer_depth":5,"flit_bytes":16,"req_vcs":2,"#,
+        r#""link_latency":1,"inject_overhead":6,"extra_reply_vcs":0}"#,
+    );
+
+    fn mesh_baseline() -> NocConfig {
+        NocConfig::paper_baseline(Mesh::new(4, 4).unwrap(), MechanismConfig::complete())
+    }
+
+    #[test]
+    fn baseline_serialization_is_stable() {
+        assert_eq!(
+            serde_json::to_string(&mesh_baseline()).unwrap(),
+            BASELINE_JSON
+        );
+    }
+
+    #[test]
+    fn config_with_the_retired_relief_key_loads_as_the_baseline() {
+        // Configs stored while the VC allocator still had its oldest-only
+        // mode may carry the retired opt-out key. It is ignored: they
+        // load as the one allocator's baseline.
+        let old = BASELINE_JSON.replace(
+            r#""extra_reply_vcs":0}"#,
+            r#""extra_reply_vcs":0,"va_hol_relief":false}"#,
+        );
+        assert_ne!(old, BASELINE_JSON);
+        let loaded: NocConfig = serde_json::from_str(&old).unwrap();
+        assert_eq!(loaded, mesh_baseline());
     }
 
     #[test]

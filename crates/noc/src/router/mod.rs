@@ -24,6 +24,7 @@ use rcsim_core::{CircuitMode, Cycle, MechanismConfig, NodeId, Topology, Vnet, PO
 use rcsim_trace::{EventKind, TraceEvent, TraceSink};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// A message leaving the router this cycle, to be routed by the network.
 ///
@@ -161,11 +162,6 @@ pub(crate) struct Router {
     /// refused and bypasses forced to the packet pipeline (DESIGN.md
     /// §10).
     degraded: bool,
-    /// Whether VC allocation walks *all* of an input port's waiting VCs
-    /// in age order (`true`, the default) or only the oldest one — the
-    /// retired legacy behaviour, kept reachable for deadlock-diagnoser
-    /// regressions (`NocConfig::va_hol_relief`).
-    va_hol_relief: bool,
     pub(crate) activity: Activity,
     /// Where trace events go; disabled by default.
     sink: TraceSink,
@@ -213,7 +209,6 @@ impl Router {
             bypass_retry: (0..ports).map(|_| VecDeque::new()).collect(),
             retry_queued: 0,
             degraded: false,
-            va_hol_relief: cfg.va_hol_relief,
             activity: Activity::default(),
             sink: TraceSink::default(),
         }
@@ -222,6 +217,26 @@ impl Router {
     /// The slot of VC `vc` at port `port` in the flat per-router arrays.
     fn slot(&self, port: usize, vc: usize) -> usize {
         port * self.vcs_per_port + vc
+    }
+
+    /// The output VCs at `out_port` a `vnet` packet bound for `dst` may
+    /// claim. Dateline deadlock avoidance: on wrap topologies a packet
+    /// crossing a network link may only claim VCs of its dateline class,
+    /// which breaks the dependency cycle the wraparound links would
+    /// otherwise close.
+    fn allocatable_out_vcs(&self, out_port: usize, vnet: Vnet, dst: NodeId) -> Range<usize> {
+        if self.topology.has_wrap() && out_port < PORT_LOCAL {
+            let downstream = self
+                .topology
+                .neighbor(self.node, out_port)
+                .expect("network port leads to a neighbor");
+            let class = self
+                .topology
+                .vc_class(downstream, self.topology.router_of(dst), out_port);
+            self.layout.allocatable_class_vcs(vnet, class as u8)
+        } else {
+            self.layout.allocatable_vcs(vnet)
+        }
     }
 
     /// Appends `flit` to input VC slot `i`, keeping the live set and the
@@ -893,15 +908,11 @@ impl Router {
                     .expect("winner came from the candidate list");
                 tried.remove(pos);
                 // The winning input port's WaitVa VCs for this output,
-                // walked in age order: the first candidate that can
-                // actually be allocated wins. (The retired legacy
-                // allocator considered only the oldest VC; if its virtual
-                // network had no free output VC the whole input port was
-                // passed over, and since that oldest VC never changes,
-                // younger VCs behind it were shadowed forever — a
-                // head-of-line wait that can close a request/reply credit
-                // cycle into a hard deadlock under sustained load; see
-                // `NocConfig::va_hol_relief` and tests/echo_probe.rs.)
+                // walked in age order (oldest first, ties by VC index):
+                // the first candidate whose class has a free output VC
+                // wins. An unallocatable oldest VC therefore never blocks
+                // a younger one of another virtual network behind it
+                // (tests/echo_probe.rs).
                 let mut candidates = std::mem::take(&mut self.va_scratch);
                 candidates.clear();
                 candidates.extend(
@@ -915,32 +926,9 @@ impl Router {
                         }),
                 );
                 candidates.sort_unstable_by_key(|&(since, v, _, _)| (since, v));
-                if !self.va_hol_relief {
-                    // Legacy single-candidate sweep: only the oldest VC may
-                    // be allocated, recreating the head-of-line wedge the
-                    // deadlock diagnoser is regression-tested against.
-                    candidates.truncate(1);
-                }
                 for &(_, v, vnet, dst) in &candidates {
-                    // Dateline deadlock avoidance: on wrap topologies a
-                    // packet crossing a network link may only claim VCs of
-                    // its dateline class, which breaks the dependency
-                    // cycle the wraparound links would otherwise close.
-                    let mut allocatable = if self.topology.has_wrap() && out_port < PORT_LOCAL {
-                        let downstream = self
-                            .topology
-                            .neighbor(self.node, out_port)
-                            .expect("network port leads to a neighbor");
-                        let class = self.topology.vc_class(
-                            downstream,
-                            self.topology.router_of(dst),
-                            out_port,
-                        );
-                        self.layout.allocatable_class_vcs(vnet, class as u8)
-                    } else {
-                        self.layout.allocatable_vcs(vnet)
-                    };
-                    let free_vc = allocatable
+                    let free_vc = self
+                        .allocatable_out_vcs(out_port, vnet, dst)
                         .find(|&ovc| self.owner[self.slot(out_port, ovc)] == Owner::Free);
                     if let Some(ovc) = free_vc {
                         let o = self.slot(out_port, ovc);
@@ -1218,63 +1206,27 @@ impl Router {
                         }
                         o_credits[ov]
                     }
-                    None => {
-                        // Under the legacy oldest-only allocator a WaitVa
-                        // VC that is not the oldest same-route VC of its
-                        // input port is never even tried: it waits on the
-                        // shadowing VC, not on any output resource.
-                        let shadow = (!self.va_hol_relief)
-                            .then(|| {
-                                port.iter()
-                                    .enumerate()
-                                    .filter(|(_, o)| {
-                                        o.state == VcState::WaitVa && o.route == Some(route)
-                                    })
-                                    .min_by_key(|(ov, o)| (o.state_since, *ov))
-                                    .map(|(ov, _)| ov)
-                            })
-                            .flatten()
-                            .filter(|&oldest| oldest != v);
-                        if let Some(oldest) = shadow {
-                            edges.push(WaitEdge::Local {
-                                in_port: p,
-                                vc: oldest,
-                            });
-                        } else if vc.state == VcState::WaitVa {
-                            let allocatable = if self.topology.has_wrap() && route < PORT_LOCAL {
-                                let downstream = self
-                                    .topology
-                                    .neighbor(self.node, route)
-                                    .expect("network port leads to a neighbor");
-                                let class = self.topology.vc_class(
-                                    downstream,
-                                    self.topology.router_of(head.dst),
-                                    route,
-                                );
-                                self.layout.allocatable_class_vcs(head.vnet, class as u8)
-                            } else {
-                                self.layout.allocatable_vcs(head.vnet)
-                            };
-                            let cands: Vec<usize> = allocatable.collect();
-                            if cands.iter().all(|&ovc| o_owner[ovc] != Owner::Free) {
-                                for &ovc in &cands {
-                                    match o_owner[ovc] {
-                                        Owner::Owned(hp, hv) => {
-                                            edges.push(WaitEdge::Local {
-                                                in_port: hp,
-                                                vc: hv,
-                                            });
-                                        }
-                                        Owner::Draining => {
-                                            edges.push(WaitEdge::Downstream { out_vc: ovc });
-                                        }
-                                        Owner::Free => {}
+                    None if vc.state == VcState::WaitVa => {
+                        let cands = self.allocatable_out_vcs(route, head.vnet, head.dst);
+                        if cands.clone().all(|ovc| o_owner[ovc] != Owner::Free) {
+                            for ovc in cands {
+                                match o_owner[ovc] {
+                                    Owner::Owned(hp, hv) => {
+                                        edges.push(WaitEdge::Local {
+                                            in_port: hp,
+                                            vc: hv,
+                                        });
                                     }
+                                    Owner::Draining => {
+                                        edges.push(WaitEdge::Downstream { out_vc: ovc });
+                                    }
+                                    Owner::Free => {}
                                 }
                             }
                         }
                         0
                     }
+                    None => 0,
                 };
                 if edges.is_empty() {
                     continue;

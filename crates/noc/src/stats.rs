@@ -243,36 +243,6 @@ impl NocStats {
         }
     }
 
-    /// Merges stats from another run segment.
-    pub fn merge(&mut self, other: &NocStats) {
-        for (k, v) in &other.network_latency {
-            self.network_latency
-                .entry(*k)
-                .or_insert_with(Self::new_latency_stat)
-                .merge(v);
-        }
-        for (k, v) in &other.queueing_latency {
-            self.queueing_latency
-                .entry(*k)
-                .or_insert_with(Self::new_latency_stat)
-                .merge(v);
-        }
-        for (k, v) in &other.injected {
-            *self.injected.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.delivered {
-            *self.delivered.entry(*k).or_insert(0) += v;
-        }
-        for (k, v) in &other.outcomes {
-            *self.outcomes.entry(*k).or_insert(0) += v;
-        }
-        self.activity.merge(&other.activity);
-        self.tables.merge(&other.tables);
-        self.cycles += other.cycles;
-        self.flits_injected += other.flits_injected;
-        self.dropped_packets += other.dropped_packets;
-    }
-
     /// Total packets injected across classes.
     pub fn total_injected(&self) -> u64 {
         self.injected.values().sum()
@@ -351,28 +321,5 @@ mod tests {
         assert!(p50 <= 15.0, "p50 {p50}");
         assert!(p99 >= 200.0, "p99 {p99}");
         assert_eq!(s.latency_quantile(MessageGroup::Request, 0.5), None);
-    }
-
-    #[test]
-    fn merge_accumulates() {
-        let mut a = NocStats {
-            cycles: 100,
-            ..Default::default()
-        };
-        a.record_delivery(MessageClass::L2Reply, 2, 20);
-        a.record_injection(MessageClass::L2Reply, 5);
-        let mut b = NocStats {
-            cycles: 50,
-            ..Default::default()
-        };
-        b.record_delivery(MessageClass::L2Reply, 4, 30);
-        b.record_injection(MessageClass::L1Request, 1);
-        a.merge(&b);
-        assert_eq!(a.total_injected(), 2);
-        assert_eq!(a.total_delivered(), 2);
-        assert_eq!(a.cycles, 150);
-        let lat = &a.network_latency[&MessageGroup::CircuitRep];
-        assert_eq!(lat.count(), 2);
-        assert!((lat.mean() - 25.0).abs() < 1e-12);
     }
 }

@@ -1,83 +1,83 @@
-//! Wait-for-graph deadlock diagnoser regression, pinned to the legacy
-//! VC allocator's reproducible wedge (see `echo_probe.rs`): with
-//! `va_hol_relief` off, the allocator considers only the oldest waiting
-//! VC per input port, and sustained bidirectional echo traffic under
-//! Complete circuits closes a request/reply credit cycle into a hard
-//! deadlock within a few hundred cycles. The watchdog must (a) declare
+//! Wait-for-graph deadlock diagnoser regression, pinned to a genuine
+//! fault-layer wedge: on a 4×4 Baseline mesh with one permanent dead
+//! link, the detour routes around the hole break dimension order, and
+//! saturating uniform random traffic closes the resulting channel
+//! dependency cycle into a hard deadlock. The watchdog must (a) declare
 //! the stall, (b) attach a [`DeadlockReport`] whose resources form an
 //! actual cycle in wait order, and (c) render it in the `Display` form
-//! `run_or_die` prints. A livelock-free healthy run must *not* carry a
-//! report.
+//! `run_or_die` prints. The same traffic without the dead link must
+//! drain with no report.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use rcsim_core::circuit::CircuitKey;
 use rcsim_core::{MechanismConfig, Mesh, MessageClass, NodeId};
-use rcsim_noc::{DeadlockReport, Network, NocConfig, PacketSpec, WatchdogConfig};
+use rcsim_noc::{
+    DeadLinkEvent, DeadlockReport, FaultConfig, Network, NocConfig, PacketSpec, WatchdogConfig,
+};
 
-/// Closed-loop echo (as in `echo_probe.rs`) on a network with the legacy
-/// oldest-only allocator: inject for a burst, then stop and let the
-/// network drain. A healthy network quiesces; the wedged request/reply
-/// cycle survives the drain, global progress ceases, and the watchdog
-/// fires. Returns the network at the stall, `None` if it drained clean.
-fn drive_until_stall(cores: u16, rate: f64, window: u32, seed: u64) -> Option<Network> {
-    let mesh = Mesh::square(cores).unwrap();
-    let mut cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
-    cfg.va_hol_relief = false;
-    let mut net = Network::new(cfg).unwrap();
+/// Offered load in packets per node per cycle: past the 4×4 mesh's
+/// saturation point, so the detour cycle fills.
+const RATE: f64 = 0.3;
+
+/// The pinned seeds: each wedges the dead-link configuration within a
+/// few thousand cycles (same seed → same wedge).
+const SEEDS: std::ops::Range<u64> = 0..4;
+
+/// Open-loop uniform random traffic (half single-flit requests, half
+/// five-flit data replies) on a 4×4 Baseline mesh, with link 5–6 dead
+/// from cycle 0 when `dead_link`: inject for a burst, then stop and let
+/// the network drain. A healthy network quiesces; a wedged detour cycle
+/// survives the drain, global progress ceases, and the watchdog fires.
+/// Returns the network at the stall, at quiescence, or at the drain
+/// deadline, whichever comes first.
+fn drive(dead_link: bool, seed: u64) -> Network {
+    let mesh = Mesh::new(4, 4).unwrap();
+    let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::baseline());
+    let mut faults = FaultConfig::none();
+    if dead_link {
+        faults.dead_links.push(DeadLinkEvent {
+            a: NodeId(5),
+            b: NodeId(6),
+            at: 0,
+            duration: None,
+        });
+    }
+    let mut net = Network::with_faults(cfg, faults).unwrap();
     net.set_watchdog(WatchdogConfig {
         stall_window: 400,
         ..WatchdogConfig::default()
     });
     let n = mesh.nodes() as u16;
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut outstanding = vec![0u32; n as usize];
-    let mut block = 0u64;
-    let echo = |net: &mut Network, outstanding: &mut [u32]| {
-        for (node, d) in net.take_all_delivered() {
-            if d.class == MessageClass::L1Request {
-                let key = CircuitKey {
-                    requestor: d.src,
-                    block: d.block,
-                };
-                net.inject(
-                    PacketSpec::new(node, d.src, MessageClass::L2Reply)
-                        .with_block(d.block)
-                        .with_circuit_key(key),
-                );
-            } else {
-                outstanding[node.0 as usize] -= 1;
-            }
-        }
-    };
     for _ in 0..600u64 {
         for s in 0..n {
-            if outstanding[s as usize] < window && rng.gen_bool(rate) {
+            if rng.gen_bool(RATE) {
                 let dst = loop {
                     let d = NodeId(rng.gen_range(0..n));
                     if d != NodeId(s) {
                         break d;
                     }
                 };
-                block += 64;
-                net.inject(
-                    PacketSpec::new(NodeId(s), dst, MessageClass::L1Request).with_block(block),
-                );
-                outstanding[s as usize] += 1;
+                let class = if rng.gen_bool(0.5) {
+                    MessageClass::L1Request
+                } else {
+                    MessageClass::L2Reply
+                };
+                net.inject(PacketSpec::new(NodeId(s), dst, class));
             }
         }
         net.tick();
-        echo(&mut net, &mut outstanding);
-    }
-    let deadline = net.now() + 30_000;
-    while !net.is_quiescent() && net.now() < deadline {
-        net.tick();
-        echo(&mut net, &mut outstanding);
+        net.take_all_delivered();
         if net.stalled() {
-            return Some(net);
+            return net;
         }
     }
-    None
+    let deadline = net.now() + 30_000;
+    while !net.is_quiescent() && !net.stalled() && net.now() < deadline {
+        net.tick();
+        net.take_all_delivered();
+    }
+    net
 }
 
 /// The structural invariant of a reported cycle: every listed resource
@@ -112,21 +112,19 @@ fn assert_well_formed(report: &DeadlockReport) {
 }
 
 #[test]
-fn legacy_allocator_wedge_is_diagnosed_as_a_cycle() {
-    // The pinned repro: the legacy allocator wedges this configuration
-    // deterministically (same seed → same wedge) within a few thousand
-    // cycles.
+fn dead_link_detour_wedge_is_diagnosed_as_a_cycle() {
     let mut diagnosed = 0;
-    for seed in 0..4u64 {
-        let Some(net) = drive_until_stall(16, 0.4, 64, seed) else {
+    for seed in SEEDS {
+        let net = drive(true, seed);
+        if !net.stalled() {
             continue;
-        };
+        }
         let health = net.health();
         assert!(health.stalled, "watchdog fired, report must say so");
         let Some(report) = &health.deadlock else {
             // A stall without a circular wait (e.g. pure injection
             // backlog) is legal for the diagnoser; the pinned seeds
-            // below must produce at least one true cycle.
+            // must produce at least one true cycle.
             continue;
         };
         assert_well_formed(report);
@@ -149,44 +147,40 @@ fn legacy_allocator_wedge_is_diagnosed_as_a_cycle() {
 
 #[test]
 fn report_respects_the_entry_cap() {
-    for seed in 0..4u64 {
-        let Some(mut net) = drive_until_stall(16, 0.4, 64, seed) else {
+    for seed in SEEDS {
+        let mut net = drive(true, seed);
+        if !net.stalled() {
             continue;
-        };
+        }
         net.set_watchdog(WatchdogConfig {
             stall_window: 400,
             max_report_entries: 2,
             ..WatchdogConfig::default()
         });
-        let health = net.health();
-        if let Some(report) = &health.deadlock {
-            assert!(report.resources.len() <= 2, "cap ignored");
-            if report.cycle_len > 2 {
-                assert!(report.truncated, "truncation must be flagged");
-            }
+        let Some(report) = net.health().deadlock else {
+            continue;
+        };
+        if report.cycle_len > 2 {
+            assert_eq!(report.resources.len(), 2, "cap ignored");
+            assert!(report.truncated, "truncation must be flagged");
             return;
         }
     }
-    panic!("no seed produced a diagnosed deadlock under the entry cap");
+    panic!("no seed produced a diagnosed cycle of more than 2 resources");
 }
 
-/// A healthy network — same traffic, modern allocator — must stall
-/// nowhere and carry no deadlock report, and a quiescent network's
-/// health must stay clean.
+/// The same traffic on the intact mesh drains to quiescence: no stall,
+/// and a drained network's health carries no deadlock report.
 #[test]
 fn healthy_runs_carry_no_deadlock_report() {
-    let mesh = Mesh::square(16).unwrap();
-    let cfg = NocConfig::paper_baseline(mesh, MechanismConfig::complete());
-    assert!(cfg.va_hol_relief, "relief is the default");
-    let mut net = Network::new(cfg).unwrap();
-    net.inject(PacketSpec::new(NodeId(0), NodeId(15), MessageClass::L1Request).with_block(64));
-    for _ in 0..200 {
-        net.tick();
+    for seed in SEEDS {
+        let net = drive(false, seed);
+        assert!(net.is_quiescent(), "seed {seed}: intact mesh must drain");
+        let health = net.health();
+        assert!(!health.stalled, "seed {seed}: {health}");
+        assert!(
+            health.deadlock.is_none(),
+            "no stall, no deadlock report: {health}"
+        );
     }
-    let health = net.health();
-    assert!(!health.stalled);
-    assert!(
-        health.deadlock.is_none(),
-        "no stall, no deadlock report: {health}"
-    );
 }

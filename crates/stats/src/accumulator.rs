@@ -59,26 +59,6 @@ impl Accumulator {
         }
     }
 
-    /// Merges another accumulator into this one (parallel Welford merge).
-    pub fn merge(&mut self, other: &Accumulator) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = *other;
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-
     /// Number of observations.
     pub fn count(&self) -> u64 {
         self.count
@@ -196,31 +176,6 @@ mod tests {
             .collect();
         assert!((acc.population_variance() - 4.0).abs() < 1e-12);
         assert!((acc.sample_variance() - 32.0 / 7.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn merge_matches_sequential() {
-        let all: Accumulator = (0..100).map(|i| (i * i) as f64).collect();
-        let mut a: Accumulator = (0..37).map(|i| (i * i) as f64).collect();
-        let b: Accumulator = (37..100).map(|i| (i * i) as f64).collect();
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.sample_variance() - all.sample_variance()).abs() < 1e-6);
-        assert_eq!(a.min(), all.min());
-        assert_eq!(a.max(), all.max());
-    }
-
-    #[test]
-    fn merge_with_empty_is_identity() {
-        let mut a: Accumulator = [1.0, 2.0, 3.0].into_iter().collect();
-        let before = a;
-        a.merge(&Accumulator::new());
-        assert_eq!(a, before);
-
-        let mut e = Accumulator::new();
-        e.merge(&before);
-        assert_eq!(e, before);
     }
 
     #[test]

@@ -67,17 +67,6 @@ impl MetricsRegistry {
             }
         }
     }
-
-    /// Folds another registry into this one: counters add, gauges take the
-    /// other's value.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
-        }
-        for (k, v) in &other.gauges {
-            self.gauges.insert(k.clone(), *v);
-        }
-    }
 }
 
 #[cfg(test)]
@@ -122,17 +111,5 @@ mod tests {
         assert_eq!(m.counter("events.ni_inject"), 2);
         assert_eq!(m.counter("events.epoch_sample"), 1);
         assert_eq!(m.gauge("noc.circuit_entries"), Some(4.0));
-    }
-
-    #[test]
-    fn merge_adds_counters() {
-        let mut a = MetricsRegistry::new();
-        a.inc("x", 1);
-        let mut b = MetricsRegistry::new();
-        b.inc("x", 2);
-        b.set_gauge("g", 9.0);
-        a.merge(&b);
-        assert_eq!(a.counter("x"), 3);
-        assert_eq!(a.gauge("g"), Some(9.0));
     }
 }

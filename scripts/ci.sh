@@ -236,7 +236,7 @@ echo "==> checkpoint smoke (kill-and-resume byte-identity, corrupt-file clean mi
 # Crash-resilience gate (DESIGN.md §15). The differential suite proves
 # save/restore byte-identity at arbitrary split cycles across kernels,
 # topologies, faults, overload and adaptive runs; the diagnoser
-# suite pins the wait-for-graph cycle report on a real legacy-allocator
+# suite pins the wait-for-graph cycle report on a real dead-link detour
 # wedge. Then the crash drill: a checkpointed fig6 sweep is SIGKILLed
 # mid-run (the bench binary is invoked directly — killing a `cargo run`
 # wrapper would orphan the simulator), half of whatever checkpoints it
